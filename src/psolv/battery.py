@@ -19,10 +19,9 @@ from .filtrations import (
     ekr_pf_candidates,
     pf_embedded_search,
 )
-from .group import DEFAULT_ENUM_CAP
 from .linear import FpMatrix, LinearAction, unipotency_degree
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
-from .subgroups import DEFAULT_COSET_CAP, normal_subgroups, quotient
+from .subgroups import normal_subgroups, quotient
 from .theorems import (
     analyze_group,
     check_O24_inclusion,
@@ -65,13 +64,11 @@ def _chain_key(F):
     return (F.type_ell, tuple(frozenset(N.elements()) for N in F.terms))
 
 
-def battery_for_group(G, gid: str, p: int, seed: int,
-                      cap: int = DEFAULT_ENUM_CAP,
-                      coset_cap: int = DEFAULT_COSET_CAP):
+def battery_for_group(G, gid: str, p: int, seed: int):
     """All statement verdicts for one group at one prime, as Reports."""
     require_prime(p)
-    verdicts = [analyze_group(G, p, cap, coset_cap)]
-    solvable = is_p_solvable(G, p, cap)
+    verdicts = [analyze_group(G, p)]
+    solvable = is_p_solvable(G, p)
     if not solvable:
         for statement in ("main", "thm6", "hall-higman"):
             verdicts.append(_skip(statement, p, G,
@@ -79,15 +76,15 @@ def battery_for_group(G, gid: str, p: int, seed: int,
         return [Report(TOOL_VERSION, gid, v.statement, v.to_payload())
                 for v in verdicts]
 
-    verdicts.append(verify_main(G, p, None, cap, coset_cap))
-    verdicts.append(verify_thm6(G, p, None, cap, coset_cap))
-    verdicts.append(hall_higman_bound(G, p, cap))
+    verdicts.append(verify_main(G, p))
+    verdicts.append(verify_thm6(G, p))
+    verdicts.append(hall_higman_bound(G, p))
 
-    P = sylow(G, p, cap)
+    P = sylow(G, p)
     normals_P = None
     if P.order() <= SEARCH_ORDER_LIMITS.get(p, p ** 3):
         try:
-            normals_P = normal_subgroups(P, cap=cap)
+            normals_P = normal_subgroups(P)
         except CapExceeded:
             normals_P = None
 
@@ -100,7 +97,7 @@ def battery_for_group(G, gid: str, p: int, seed: int,
         if all(_chain_key(other) != key for other in found_chains):
             found_chains.append(F)
 
-    for F, pf in ekr_pf_candidates(P, p, p - 1, 1, cap):
+    for F, pf in ekr_pf_candidates(P, p, p - 1, 1):
         if pf.valid:
             remember(F)
 
@@ -110,49 +107,44 @@ def battery_for_group(G, gid: str, p: int, seed: int,
         starts = _search_starts(normals_P)
         if p >= 3:
             for N in starts:
-                out = pf_embedded_search(P, p, N, p - 2, cap=cap,
-                                         normals=normals_P)
+                out = pf_embedded_search(P, p, N, p - 2)
                 if out.status == SearchOutcome.FOUND:
                     remember(out.filtration)
                     prop3_instances.append((N, out.filtration))
         for N in starts:
-            out = pf_embedded_search(P, p, N, p - 1, cap=cap,
-                                     normals=normals_P)
+            out = pf_embedded_search(P, p, N, p - 1)
             if out.status == SearchOutcome.FOUND:
                 remember(out.filtration)
                 prop4_instances.append((N, out.filtration))
 
     for F in found_chains[:PROP1_INSTANCE_CAP]:
-        verdicts.append(check_prop1(F, cap))
+        verdicts.append(check_prop1(F))
     for N, F in prop3_instances:
-        verdicts.append(verify_prop3(G, p, N, F, cap, coset_cap))
+        verdicts.append(verify_prop3(G, p, N, F))
     for N, F in prop4_instances:
-        verdicts.append(verify_prop4(G, p, N, F, cap, coset_cap))
+        verdicts.append(verify_prop4(G, p, N, F))
 
     if G.order() <= LATTICE_GROUP_LIMIT:
         try:
-            normals_G = normal_subgroups(G, cap=cap)
+            normals_G = normal_subgroups(G)
         except CapExceeded:
             normals_G = None
         if normals_G is not None:
-            if o_pprime(G, p, cap).is_trivial():
+            if o_pprime(G, p).is_trivial():
                 for N in _search_starts(normals_G):
                     for depth in (1, 2):
-                        verdicts.append(
-                            verify_lemma8(G, p, N, depth, cap, coset_cap))
+                        verdicts.append(verify_lemma8(G, p, N, depth))
             for V in _search_starts(normals_G)[:4]:
                 for r, l in ((1, 0), (0, 1), (1, 1)):
-                    verdicts.append(
-                        check_O24_inclusion(G, V, P, p, r, l, cap))
+                    verdicts.append(check_O24_inclusion(G, V, P, p, r, l))
 
     if G.order() <= LINEAR_GROUP_LIMIT:
-        v = _linear_action_verdict(G, gid, p, seed, cap, coset_cap)
+        v = _linear_action_verdict(G, gid, p, seed)
         if v is not None:
             verdicts.append(v)
 
     if normals_P is not None:
-        verdicts.extend(question7_scan(G, p, 1, cap=cap, coset_cap=coset_cap,
-                                       normals=normals_P))
+        verdicts.extend(question7_scan(G, p, 1))
     else:
         verdicts.append(_skip("question7", p, G,
                               "the Sylow subgroup is too large for the "
@@ -162,21 +154,21 @@ def battery_for_group(G, gid: str, p: int, seed: int,
             for v in verdicts]
 
 
-def _linear_action_verdict(G, gid, p, seed, cap, coset_cap):
+def _linear_action_verdict(G, gid, p, seed):
     """Sample-check that conjugation on an elementary abelian p-core is a
     matrix representation: multiplicativity, the commutator identity, and
     unipotency of the Sylow generators' images. These are all proved facts,
     so a failed conclusion means a bug worth reporting loudly."""
-    V = o_p(G, p, cap)
+    V = o_p(G, p)
     if V.is_trivial():
         return None
     try:
-        action = LinearAction(quotient(G, V, coset_cap), p)
+        action = LinearAction(quotient(G, V), p)
     except KernelNotElementaryAbelian:
         return None
     rng = random.Random(f"{seed}:{gid}:{p}:linear")
-    els = G.elements(cap)
-    kernel_els = V.elements(cap)
+    els = G.elements()
+    kernel_els = V.elements()
     I = FpMatrix.identity(p, action.dimension)
     hom_ok = True
     comm_ok = True
@@ -192,7 +184,7 @@ def _linear_action_verdict(G, gid, p, seed, cap, coset_cap):
         if lhs != rhs:
             comm_ok = False
             break
-    P = sylow(G, p, cap)
+    P = sylow(G, p)
     degrees = [unipotency_degree(action.matrix(g)) for g in P.generators]
     unipotent_ok = all(d is not None for d in degrees)
     params = {
@@ -208,9 +200,7 @@ def _linear_action_verdict(G, gid, p, seed, cap, coset_cap):
                    params)
 
 
-def run_catalog(p: int, seed: int, only: str | None = None,
-                cap: int = DEFAULT_ENUM_CAP,
-                coset_cap: int = DEFAULT_COSET_CAP):
+def run_catalog(p: int, seed: int, only: str | None = None):
     """Battery over the whole built-in catalog; `only` filters group ids by
     substring."""
     require_prime(p)
@@ -219,5 +209,5 @@ def run_catalog(p: int, seed: int, only: str | None = None,
         if only is not None and only not in gid:
             continue
         G = build_group(gid)
-        reports.extend(battery_for_group(G, gid, p, seed, cap, coset_cap))
+        reports.extend(battery_for_group(G, gid, p, seed))
     return reports

@@ -33,10 +33,10 @@ from .filtrations import (
     pf_embedded_search,
     verify_potent_filtration,
 )
-from .group import DEFAULT_ENUM_CAP, PermutationGroup, trivial_group
+from .group import PermutationGroup, trivial_group
 from .perm import parse_cycles
-from .series import lower_central_series, o_p, o_pprime, sylow
-from .subgroups import DEFAULT_COSET_CAP, is_subgroup
+from .series import gamma, o_p, o_pprime, sylow
+from .subgroups import is_subgroup
 from .theorems import (
     analyze_group,
     check_O24_inclusion,
@@ -63,16 +63,16 @@ def _load_group(args):
         return parse_group(fh.read()), f"file:{args.file}"
 
 
-def _gamma_term(P, i, cap):
-    if i < 1:
-        raise UnsupportedParameters("the series index must be at least 1")
-    terms = [g for g in lower_central_series(P).subgroups()
-             if not g.is_trivial()]
-    return terms[i - 1] if i <= len(terms) else trivial_group(P.degree)
+def _index(text: str, token: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UnsupportedParameters(
+            f"bad index {text!r} in subgroup token {token!r}") from None
 
 
-def resolve_subgroup(token: str, G: PermutationGroup, p: int,
-                     cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def resolve_subgroup(token: str, G: PermutationGroup,
+                     p: int) -> PermutationGroup:
     """Named subgroups usable anywhere the CLI takes one.
 
     trivial, full, V4, sylow, op, opprime, gamma:i, ekr:k:r, and
@@ -86,11 +86,11 @@ def resolve_subgroup(token: str, G: PermutationGroup, p: int,
     if t == "full":
         return G
     if t == "sylow":
-        return sylow(G, p, cap)
+        return sylow(G, p)
     if t == "op":
-        return o_p(G, p, cap)
+        return o_p(G, p)
     if t == "opprime":
-        return o_pprime(G, p, cap)
+        return o_pprime(G, p)
     if t == "V4":
         if G.degree < 4:
             raise UnsupportedParameters(
@@ -103,17 +103,21 @@ def resolve_subgroup(token: str, G: PermutationGroup, p: int,
                 "the Klein group on points 1-4 does not lie in this group")
         return H
     if t.startswith("gamma:"):
-        return _gamma_term(sylow(G, p, cap), int(t.split(":", 1)[1]), cap)
+        return gamma(sylow(G, p), _index(t.split(":", 1)[1], t))
     if t.startswith("ekr:"):
         parts = t.split(":")
         if len(parts) != 3:
             raise UnsupportedParameters("ekr takes two indices, ekr:k:r")
-        return compute_ekr(sylow(G, p, cap), p, int(parts[1]), int(parts[2]),
-                           cap)
+        return compute_ekr(sylow(G, p), p, _index(parts[1], t),
+                           _index(parts[2], t))
     if t.startswith("gens:"):
         body = t[len("gens:"):]
-        gens = [parse_cycles(part, G.degree)
-                for part in body.split(";") if part.strip()]
+        try:
+            gens = [parse_cycles(part, G.degree)
+                    for part in body.split(";") if part.strip()]
+        except ValueError as e:
+            raise UnsupportedParameters(
+                f"bad subgroup token {t!r}: {e}") from None
         if not gens:
             raise UnsupportedParameters("gens: needs at least one cycle "
                                         "expression")
@@ -143,14 +147,14 @@ def _emit_object(args, payload, text_lines):
 def _cmd_analyze(args):
     G, gid = _load_group(args)
     return _emit_verdicts(args, gid, [
-        analyze_group(G, args.p, args.enum_cap, args.coset_cap)])
+        analyze_group(G, args.p)])
 
 
 def _cmd_ekr(args):
     G, gid = _load_group(args)
-    P = sylow(G, args.p, args.enum_cap)
-    E = compute_ekr(P, args.p, args.k, args.r, args.enum_cap)
-    pieces = ekr_terms(P, args.p, args.k, args.r, args.enum_cap)
+    P = sylow(G, args.p)
+    E = compute_ekr(P, args.p, args.k, args.r)
+    pieces = ekr_terms(P, args.p, args.k, args.r)
     payload = {
         "group_id": gid,
         "p": args.p,
@@ -172,9 +176,8 @@ def _cmd_ekr(args):
 
 
 def _chain(args, G, p):
-    P = sylow(G, p, args.enum_cap)
-    terms = tuple(resolve_subgroup(t, G, p, args.enum_cap)
-                  for t in args.term)
+    P = sylow(G, p)
+    terms = tuple(resolve_subgroup(t, G, p) for t in args.term)
     return P, terms
 
 
@@ -182,7 +185,7 @@ def _cmd_pf_verify(args):
     G, gid = _load_group(args)
     P, terms = _chain(args, G, args.p)
     F = Filtration(P, args.p, args.ell, terms)
-    v = verify_potent_filtration(F, args.enum_cap)
+    v = verify_potent_filtration(F)
     payload = {"group_id": gid, "filtration": F.to_payload(),
                "verdict": v.to_payload()}
     if v.valid:
@@ -199,10 +202,9 @@ def _cmd_pf_verify(args):
 
 def _cmd_pf_search(args):
     G, gid = _load_group(args)
-    P = sylow(G, args.p, args.enum_cap)
-    N = resolve_subgroup(args.normal, G, args.p, args.enum_cap)
-    out = pf_embedded_search(P, args.p, N, args.ell, args.search_budget,
-                             args.enum_cap)
+    P = sylow(G, args.p)
+    N = resolve_subgroup(args.normal, G, args.p)
+    out = pf_embedded_search(P, args.p, N, args.ell, args.search_budget)
     payload = {"group_id": gid, "n_order": N.order(), "p": args.p,
                "ell": args.ell, "outcome": out.to_payload()}
     lines = [f"{gid} | start of a type-{args.ell} chain from a subgroup of "
@@ -217,55 +219,51 @@ def _cmd_pf_search(args):
 def _cmd_verify_main(args):
     G, gid = _load_group(args)
     return _emit_verdicts(args, gid, [
-        verify_main(G, args.p, args.ell, args.enum_cap, args.coset_cap)])
+        verify_main(G, args.p, args.ell)])
 
 
 def _cmd_verify_thm6(args):
     G, gid = _load_group(args)
     return _emit_verdicts(args, gid, [
-        verify_thm6(G, args.p, args.ell, args.enum_cap, args.coset_cap)])
+        verify_thm6(G, args.p, args.ell)])
 
 
 def _cmd_verify_prop(args, expected_gap, checker):
     G, gid = _load_group(args)
     P, terms = _chain(args, G, args.p)
     if args.normal is not None:
-        N = resolve_subgroup(args.normal, G, args.p, args.enum_cap)
+        N = resolve_subgroup(args.normal, G, args.p)
     elif terms:
         N = terms[0]
     else:
         raise UnsupportedParameters("give --normal or at least one --term")
     F = Filtration(P, args.p, args.p - expected_gap, terms)
-    return _emit_verdicts(args, gid, [
-        checker(G, args.p, N, F, args.enum_cap, args.coset_cap)])
+    return _emit_verdicts(args, gid, [checker(G, args.p, N, F)])
 
 
 def _cmd_verify_lemma8(args):
     G, gid = _load_group(args)
-    N = resolve_subgroup(args.normal, G, args.p, args.enum_cap)
-    return _emit_verdicts(args, gid, [
-        verify_lemma8(G, args.p, N, args.l, args.enum_cap, args.coset_cap)])
+    N = resolve_subgroup(args.normal, G, args.p)
+    return _emit_verdicts(args, gid, [verify_lemma8(G, args.p, N, args.l)])
 
 
 def _cmd_verify_o24(args):
     G, gid = _load_group(args)
-    V = resolve_subgroup(args.v, G, args.p, args.enum_cap)
-    M = resolve_subgroup(args.m, G, args.p, args.enum_cap)
+    V = resolve_subgroup(args.v, G, args.p)
+    M = resolve_subgroup(args.m, G, args.p)
     return _emit_verdicts(args, gid, [
-        check_O24_inclusion(G, V, M, args.p, args.r, args.l, args.enum_cap)])
+        check_O24_inclusion(G, V, M, args.p, args.r, args.l)])
 
 
 def _cmd_scan_question7(args):
     G, gid = _load_group(args)
     return _emit_verdicts(args, gid, question7_scan(
-        G, args.p, args.ell, args.search_budget, args.enum_cap,
-        args.coset_cap))
+        G, args.p, args.ell, args.search_budget))
 
 
 def _cmd_verify_hall_higman(args):
     G, gid = _load_group(args)
-    return _emit_verdicts(args, gid, [
-        hall_higman_bound(G, args.p, args.enum_cap)])
+    return _emit_verdicts(args, gid, [hall_higman_bound(G, args.p)])
 
 
 def _cmd_catalog_list(args):
@@ -275,8 +273,7 @@ def _cmd_catalog_list(args):
 
 
 def _cmd_catalog_run(args):
-    reports = run_catalog(args.p, args.seed, args.only, args.enum_cap,
-                          args.coset_cap)
+    reports = run_catalog(args.p, args.seed, args.only)
     sys.stdout.write(emit_report(reports, args.format))
     return 2 if any(r.verdict.get("is_finding") for r in reports) else 0
 
@@ -296,8 +293,6 @@ def _add_common(sub, group_source=True, prime=True):
         src.add_argument("--file", help="path to a group JSON document")
     if prime:
         sub.add_argument("--p", type=int, required=True, help="the prime")
-    sub.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    sub.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP)
     sub.add_argument("--search-budget", type=int,
                      default=DEFAULT_SEARCH_BUDGET)
     sub.add_argument("--seed", type=int, default=_env_seed())

@@ -23,10 +23,18 @@ from .errors import (
     PreconditionViolated,
     UnsupportedParameters,
 )
-from .group import DEFAULT_ENUM_CAP, PermutationGroup, trivial_group
+from .group import PermutationGroup, trivial_group
 from .perm import Permutation
-from .series import check_p_group, exponent, lower_central_series, require_prime
+from .series import (
+    _p_valuation,
+    check_p_group,
+    exponent,
+    gamma,
+    nilpotency_class,
+    require_prime,
+)
 from .subgroups import (
+    _first_outside,
     commutator,
     is_normal,
     is_subgroup,
@@ -103,14 +111,6 @@ class PFVerdict:
         }
 
 
-def _first_outside(A: PermutationGroup, B: PermutationGroup):
-    # generators suffice: A <= B iff every generator of A lies in B
-    for g in A.generators:
-        if not B.contains(g):
-            return g
-    return None
-
-
 def _validate_filtration_input(F: Filtration):
     require_prime(F.prime)
     check_p_group(F.ambient, F.prime)
@@ -126,8 +126,7 @@ def _validate_filtration_input(F: Filtration):
             raise NotNormal(f"term {idx} is not normal in the ambient group")
 
 
-def verify_potent_filtration(F: Filtration,
-                             cap: int = DEFAULT_ENUM_CAP) -> PFVerdict:
+def verify_potent_filtration(F: Filtration) -> PFVerdict:
     """Check the four chain conditions in order, stopping at the first failure.
 
     Terms must already be normal subgroups of the p-group ambient; that is
@@ -159,7 +158,7 @@ def verify_potent_filtration(F: Filtration,
 
     for i in range(k - 1):
         folded = terms[i] if ell == 0 else iterated_commutator(terms[i], P, ell)
-        target = power_subgroup(terms[i + 1], p, cap)
+        target = power_subgroup(terms[i + 1], p)
         w = _first_outside(folded, target)
         if w is not None:
             return PFVerdict(False, 4, i + 1, w, notes)
@@ -167,7 +166,7 @@ def verify_potent_filtration(F: Filtration,
     return PFVerdict(True, notes=notes)
 
 
-def check_prop1(F: Filtration, cap: int = DEFAULT_ENUM_CAP) -> Verdict:
+def check_prop1(F: Filtration) -> Verdict:
     """For a verified chain, check the power-commutator identity and both
     derived chains.
 
@@ -176,7 +175,7 @@ def check_prop1(F: Filtration, cap: int = DEFAULT_ENUM_CAP) -> Verdict:
     at the same type. All three are proved facts, so any false conclusion
     here is a finding.
     """
-    base = verify_potent_filtration(F, cap)
+    base = verify_potent_filtration(F)
     params = {
         "p": F.prime,
         "type_ell": F.type_ell,
@@ -190,21 +189,21 @@ def check_prop1(F: Filtration, cap: int = DEFAULT_ENUM_CAP) -> Verdict:
 
     P = F.ambient
     p = F.prime
-    powers = tuple(power_subgroup(N, p, cap) for N in F.terms)
+    powers = tuple(power_subgroup(N, p) for N in F.terms)
     brackets = tuple(commutator(N, P) for N in F.terms)
 
     witnesses = []
     identity_ok = True
     for i in range(len(F.terms)):
         lhs = commutator(powers[i], P)
-        rhs = power_subgroup(brackets[i], p, cap)
+        rhs = power_subgroup(brackets[i], p)
         if not same_subgroup(lhs, rhs):
             identity_ok = False
             witnesses.append((f"power-commutator identity fails at term {i + 1}",
                               {"lhs_order": lhs.order(), "rhs_order": rhs.order()}))
 
-    v_pow = verify_potent_filtration(Filtration(P, p, F.type_ell, powers), cap)
-    v_brk = verify_potent_filtration(Filtration(P, p, F.type_ell, brackets), cap)
+    v_pow = verify_potent_filtration(Filtration(P, p, F.type_ell, powers))
+    v_brk = verify_potent_filtration(Filtration(P, p, F.type_ell, brackets))
     if not v_pow.valid:
         witnesses.append(("p-th power chain fails verification", v_pow.to_payload()))
     if not v_brk.valid:
@@ -219,39 +218,26 @@ def check_prop1(F: Filtration, cap: int = DEFAULT_ENUM_CAP) -> Verdict:
     return Verdict("prop1", True, conclusion, params, tuple(witnesses), notes)
 
 
-def _p_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _ekr_pieces(P: PermutationGroup, p: int, k: int, r: int, cap: int):
+def _ekr_pieces(P: PermutationGroup, p: int, k: int, r: int):
     require_prime(p)
     check_p_group(P, p)
     if r < 1:
         raise UnsupportedParameters("the lower index r must be at least 1")
     if k < 0:
         raise UnsupportedParameters("the threshold k must be nonnegative")
-    gammas = lower_central_series(P).subgroups()
-    nontrivial = [g for g in gammas if not g.is_trivial()]
-    c = len(nontrivial)
-    e = _p_valuation(exponent(P, cap), p)
+    c = nilpotency_class(P)
+    e = _p_valuation(exponent(P), p)
 
     # For fixed i only the least admissible j matters: raising j by one maps
     # each generator x^(p^j) to its p-th power, so the subgroups shrink.
     pieces = []
     E = trivial_group(P.degree)
-    for i in range(r, c + 2):
-        gamma_i = nontrivial[i - 1] if i <= c else trivial_group(P.degree)
-        if gamma_i.is_trivial():
-            continue
+    for i in range(r, c + 1):
         need = k - i
         j = 0 if need <= 0 else -(-need // (p - 1))
         if j > e:
             continue
-        piece = power_subgroup(gamma_i, p ** j, cap)
+        piece = power_subgroup(gamma(P, i), p ** j)
         if piece.is_trivial():
             continue
         pieces.append((i, j, piece))
@@ -259,8 +245,7 @@ def _ekr_pieces(P: PermutationGroup, p: int, k: int, r: int, cap: int):
     return E, pieces
 
 
-def compute_ekr(P: PermutationGroup, p: int, k: int, r: int,
-                cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def compute_ekr(P: PermutationGroup, p: int, k: int, r: int) -> PermutationGroup:
     """E_{k,r}(P): the product of gamma_i(P)^(p^j) over i >= r, j >= 0 with
     i + j(p-1) >= k.
 
@@ -268,15 +253,14 @@ def compute_ekr(P: PermutationGroup, p: int, k: int, r: int,
     every term beyond is trivial or contained in a kept one. The result is
     normal in P (a join of power subgroups of characteristic subgroups).
     """
-    E, _ = _ekr_pieces(P, p, k, r, cap)
+    E, _ = _ekr_pieces(P, p, k, r)
     return E
 
 
-def ekr_terms(P: PermutationGroup, p: int, k: int, r: int,
-              cap: int = DEFAULT_ENUM_CAP):
+def ekr_terms(P: PermutationGroup, p: int, k: int, r: int):
     """The nontrivial qualifying pieces (i, j, gamma_i(P)^(p^j)) actually
     joined by compute_ekr, for audit output."""
-    _, pieces = _ekr_pieces(P, p, k, r, cap)
+    _, pieces = _ekr_pieces(P, p, k, r)
     return pieces
 
 
@@ -297,7 +281,6 @@ def _descend(first, step, length_cap):
 
 
 def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int,
-                      cap: int = DEFAULT_ENUM_CAP,
                       length_cap: int = DEFAULT_LENGTH_CAP):
     """Three candidate type-(p-1) chains starting at E_{k,r}(P), each
     verified.
@@ -309,14 +292,14 @@ def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int,
     (dropping a duplicate term only weakens the chain conditions) and each
     chain is truncated at its first trivial term.
     """
-    E = compute_ekr(P, p, k, r, cap)
+    E = compute_ekr(P, p, k, r)
     ell = p - 1
 
     def shifted_both(i, _prev):
-        return compute_ekr(P, p, k + i - 1, r + i - 1, cap)
+        return compute_ekr(P, p, k + i - 1, r + i - 1)
 
     def shifted_threshold(i, _prev):
-        return compute_ekr(P, p, k + i - 1, r, cap)
+        return compute_ekr(P, p, k + i - 1, r)
 
     def bracket_step(_i, prev):
         return commutator(prev, P)
@@ -324,7 +307,7 @@ def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int,
     out = []
     for step in (shifted_both, shifted_threshold, bracket_step):
         F = Filtration(P, p, ell, _descend(E, step, length_cap))
-        out.append((F, verify_potent_filtration(F, cap)))
+        out.append((F, verify_potent_filtration(F)))
     return out
 
 
@@ -357,7 +340,6 @@ class _BudgetHit(Exception):
 
 def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
                        ell: int, budget: int = DEFAULT_SEARCH_BUDGET,
-                       cap: int = DEFAULT_ENUM_CAP,
                        normals=None) -> SearchOutcome:
     """Decide whether N starts a type-ell potent filtration of P.
 
@@ -369,8 +351,9 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
     node budget all report "exhausted" rather than guessing.
     "not_pf_embedded" is only returned after the full space is searched.
 
-    A precomputed `normals` list (from normal_subgroups(P)) skips the order
-    limit and the enumeration; batch callers share one lattice this way.
+    A precomputed `normals` lattice (as from normal_subgroups(P)) skips the
+    order limit and the enumeration. Without it the lattice comes from
+    normal_subgroups(P), which is computed once per group object.
     """
     require_prime(p)
     check_p_group(P, p)
@@ -392,14 +375,14 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
                          f"enumeration limit {limit}")
             return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
         try:
-            normals = normal_subgroups(P, cap=cap)
+            normals = normal_subgroups(P)
         except CapExceeded:
             notes.append("normal subgroup enumeration overflowed its cap")
             return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
-    sets = [frozenset(H.elements(cap)) for H in normals]
+    sets = [frozenset(H.elements()) for H in normals]
     by_set = {s: i for i, s in enumerate(sets)}
-    start = by_set.get(frozenset(N.elements(cap)))
+    start = by_set.get(frozenset(N.elements()))
     if start is None:
         raise InternalMismatch("a normal subgroup is missing from the lattice "
                                "enumeration")
@@ -410,7 +393,7 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
 
     def bracket(i):
         if i not in bracket_cache:
-            bracket_cache[i] = frozenset(commutator(normals[i], P).elements(cap))
+            bracket_cache[i] = frozenset(commutator(normals[i], P).elements())
         return bracket_cache[i]
 
     def folded(i):
@@ -419,12 +402,12 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
                 folded_cache[i] = sets[i]
             else:
                 folded_cache[i] = frozenset(
-                    iterated_commutator(normals[i], P, ell).elements(cap))
+                    iterated_commutator(normals[i], P, ell).elements())
         return folded_cache[i]
 
     def power(i):
         if i not in power_cache:
-            power_cache[i] = frozenset(power_subgroup(normals[i], p, cap).elements(cap))
+            power_cache[i] = frozenset(power_subgroup(normals[i], p).elements())
         return power_cache[i]
 
     nodes = 0
@@ -466,6 +449,6 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
                              tuple(notes))
 
     F = Filtration(P, p, ell, tuple(normals[i] for i in chain))
-    if not verify_potent_filtration(F, cap).valid:
+    if not verify_potent_filtration(F).valid:
         raise InternalMismatch("search returned a chain its own verifier rejects")
     return SearchOutcome(SearchOutcome.FOUND, F, nodes, tuple(notes))

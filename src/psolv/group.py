@@ -8,7 +8,8 @@ same chain, the same enumeration order and the same sampling.
 
 from __future__ import annotations
 
-import random
+import functools
+import inspect
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch
@@ -136,23 +137,17 @@ class StabilizerChain:
 
         return rec(0)
 
-    def random_element(self, rng) -> Permutation:
-        g = identity(self.degree)
-        for lv in reversed(self.levels):
-            beta = rng.choice(sorted(lv.transversal))
-            g = g * lv.transversal[beta]
-        return g
-
 
 class PermutationGroup:
     """A group of permutations of {0, ..., n-1}, given by generators.
 
     Instances are immutable by convention: every operation returns a new
     group, and the stabilizer chain is built lazily exactly once, so
-    concurrent readers are safe.
+    concurrent readers are safe. Facts computed by `group_fact` functions
+    are kept in `_facts` for the life of the group.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_elements")
+    __slots__ = ("degree", "generators", "_chain", "_elements", "_facts")
 
     def __init__(self, degree, generators=()):
         if degree < 1:
@@ -169,6 +164,7 @@ class PermutationGroup:
         self.generators = generators
         self._chain = None
         self._elements = None
+        self._facts = {}
 
     @property
     def chain(self) -> StabilizerChain:
@@ -201,28 +197,38 @@ class PermutationGroup:
             self._elements = list(self.chain.iter_elements())
         return self._elements
 
-    def random_element(self, seed) -> Permutation:
-        """Uniformly random element; identical seed gives identical output."""
-        return self.chain.random_element(random.Random(seed))
-
     def __repr__(self):
         gens = ", ".join(g.cycle_string() for g in self.generators[:4])
         more = ", ..." if len(self.generators) > 4 else ""
         return f"PermutationGroup(degree={self.degree}, gens=[{gens}{more}])"
 
 
-def build_chain(G: PermutationGroup) -> PermutationGroup:
-    """Force the stabilizer chain to exist. Idempotent."""
-    G.chain
-    return G
-
-
 def trivial_group(degree: int) -> PermutationGroup:
     return PermutationGroup(degree, ())
 
 
-def random_element(G: PermutationGroup, seed) -> Permutation:
-    return G.random_element(seed)
+def group_fact(fn):
+    """Compute fn(G, ...) once per group object and argument values.
+
+    The value is kept in G._facts under fn and the arguments with their
+    defaults filled in, so later calls return the very same object. A call
+    that raises stores nothing. Only for pure functions of a group whose
+    value is safe to share.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(G, *args, **kwargs):
+        bound = signature.bind(G, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, bound.args[1:])
+        try:
+            return G._facts[key]
+        except KeyError:
+            value = G._facts[key] = fn(G, *args, **kwargs)
+            return value
+
+    return cached
 
 
 def span(degree: int, elements) -> PermutationGroup:

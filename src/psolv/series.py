@@ -2,7 +2,8 @@
 
 The p-core is computed by two independent routes and cross-checked; a
 disagreement raises InternalMismatch and is always a bug here, never a
-mathematical finding.
+mathematical finding. Functions marked @group_fact are computed once per
+group object and prime, so the cross-check runs once per pair too.
 """
 
 from __future__ import annotations
@@ -11,16 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InternalMismatch, NotAPGroup, NotPSolvable, UnsupportedParameters
-from .group import DEFAULT_ENUM_CAP, PermutationGroup, span, trivial_group
+from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation
 from .subgroups import (
-    DEFAULT_COSET_CAP,
     commutator,
     conjugacy_classes,
     conjugate_subgroup,
     intersect,
-    is_normal,
-    is_subgroup,
     join,
     normal_closure,
     normalizer,
@@ -75,15 +73,26 @@ def _descending_series(G, step, label_fmt):
     return terms
 
 
+@group_fact
 def lower_central_series(G: PermutationGroup) -> SeriesReport:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G], truncated at the first repeat."""
     terms = _descending_series(G, lambda H: commutator(H, G), lambda i: f"gamma_{i}")
     return SeriesReport(kind="lower_central", terms=tuple(terms))
 
 
+@group_fact
 def derived_series(G: PermutationGroup) -> SeriesReport:
     terms = _descending_series(G, lambda H: commutator(H, H), lambda i: f"derived_{i - 1}")
     return SeriesReport(kind="derived", terms=tuple(terms))
+
+
+def gamma(P: PermutationGroup, i: int) -> PermutationGroup:
+    """gamma_i(P), counting P itself as gamma_1. Past the end of the lower
+    central series the last term repeats: 1 for a nilpotent group."""
+    if i < 1:
+        raise UnsupportedParameters("the series index must be at least 1")
+    terms = lower_central_series(P).subgroups()
+    return terms[min(i, len(terms)) - 1]
 
 
 def nilpotency_class(G: PermutationGroup) -> int | None:
@@ -95,9 +104,10 @@ def nilpotency_class(G: PermutationGroup) -> int | None:
     return len(subs) - 1 if len(subs) > 1 else 0
 
 
-def exponent(G: PermutationGroup, cap: int = DEFAULT_ENUM_CAP) -> int:
+@group_fact
+def exponent(G: PermutationGroup) -> int:
     """Least common multiple of the element orders."""
-    classes = conjugacy_classes(G, cap)
+    classes = conjugacy_classes(G)
     return math.lcm(*(cls[0].order() for cls in classes))
 
 
@@ -149,7 +159,7 @@ def check_p_group(G: PermutationGroup, p: int):
         raise NotAPGroup(f"group of order {G.order()} is not a {p}-group")
 
 
-def frattini_p(P: PermutationGroup, cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def frattini_p(P: PermutationGroup) -> PermutationGroup:
     """Frattini subgroup of a p-group: P^p * [P, P]."""
     n = P.order()
     if n == 1:
@@ -158,7 +168,7 @@ def frattini_p(P: PermutationGroup, cap: int = DEFAULT_ENUM_CAP) -> PermutationG
     if pk is None:
         raise NotAPGroup(f"order {n} is not a prime power")
     p = pk[0]
-    return join(power_subgroup(P, p, cap), commutator(P, P))
+    return join(power_subgroup(P, p), commutator(P, P))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -169,13 +179,22 @@ def _p_part(n: int, p: int) -> int:
     return part
 
 
+def _p_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def element_p_part(x: Permutation, p: int) -> Permutation:
     """The p-part of an element: x^m where m is the p'-part of its order."""
     o = x.order()
     return x ** (o // _p_part(o, p))
 
 
-def sylow(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+@group_fact
+def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, grown through normalizers.
 
     A p-subgroup S below full size always has a p-element of N_G(S)
@@ -187,15 +206,15 @@ def sylow(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> Permutati
     if target == 1:
         return trivial_group(G.degree)
     seed = None
-    for x in G.elements(cap):
+    for x in G.elements():
         y = element_p_part(x, p)
         if not y.is_identity():
             seed = y
             break
     S = span(G.degree, [seed])
     while S.order() < target:
-        N = normalizer(G, S, cap)
-        for x in N.elements(cap):
+        N = normalizer(G, S)
+        for x in N.elements():
             y = element_p_part(x, p)
             if not y.is_identity() and not S.contains(y):
                 S = span(G.degree, list(S.generators) + [y])
@@ -205,12 +224,12 @@ def sylow(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> Permutati
     return S
 
 
-def _core_by_class_closures(G, p, want_p_group, cap):
+def _core_by_class_closures(G, p, want_p_group):
     # join of <x>^G over class representatives x of the right order type
     # whose normal closure has the right order type; conjugate elements
     # give the same closure, so one representative per class suffices
     K = trivial_group(G.degree)
-    for cls in conjugacy_classes(G, cap):
+    for cls in conjugacy_classes(G):
         x = cls[0]
         if x.is_identity() or K.contains(x):
             continue
@@ -226,26 +245,27 @@ def _core_by_class_closures(G, p, want_p_group, cap):
     return K
 
 
-def _sylow_conjugates_intersection(G, p, cap):
-    P = sylow(G, p, cap)
+def _sylow_conjugates_intersection(G, p):
+    P = sylow(G, p)
     if P.is_trivial():
         return P
     K = P
-    seen = {frozenset(x.images for x in P.elements(cap))}
+    seen = {frozenset(x.images for x in P.elements())}
     queue = [P]
     while queue:
         H = queue.pop()
         for g in G.generators:
             C = conjugate_subgroup(H, g)
-            key = frozenset(x.images for x in C.elements(cap))
+            key = frozenset(x.images for x in C.elements())
             if key not in seen:
                 seen.add(key)
                 queue.append(C)
-                K = intersect(K, C, cap)
+                K = intersect(K, C)
     return K
 
 
-def o_p(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+@group_fact
+def o_p(G: PermutationGroup, p: int) -> PermutationGroup:
     """Largest normal p-subgroup, computed two ways and cross-checked.
 
     Route one intersects all conjugates of a Sylow p-subgroup; route two
@@ -253,24 +273,24 @@ def o_p(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> Permutation
     Disagreement raises InternalMismatch.
     """
     require_prime(p)
-    by_intersection = _sylow_conjugates_intersection(G, p, cap)
-    by_closures = _core_by_class_closures(G, p, want_p_group=True, cap=cap)
+    by_intersection = _sylow_conjugates_intersection(G, p)
+    by_closures = _core_by_class_closures(G, p, want_p_group=True)
     if not same_subgroup(by_intersection, by_closures):
         raise InternalMismatch(
             f"p-core routes disagree: orders {by_intersection.order()} vs {by_closures.order()}")
     return by_closures
 
 
-def o_pprime(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+@group_fact
+def o_pprime(G: PermutationGroup, p: int) -> PermutationGroup:
     """Largest normal p'-subgroup: join of closures of coprime-order elements
     whose normal closure has order coprime to p."""
     require_prime(p)
-    return _core_by_class_closures(G, p, want_p_group=False, cap=cap)
+    return _core_by_class_closures(G, p, want_p_group=False)
 
 
-def upper_p_series(G: PermutationGroup, p: int,
-                   cap: int = DEFAULT_ENUM_CAP,
-                   coset_cap: int = DEFAULT_COSET_CAP) -> SeriesReport:
+@group_fact
+def upper_p_series(G: PermutationGroup, p: int) -> SeriesReport:
     """Alternating p'-core / p-core series built through quotients.
 
     Starts at 1, pulls each quotient core back along the projection, and
@@ -287,9 +307,9 @@ def upper_p_series(G: PermutationGroup, p: int,
     def lift(kind):
         # core of G/current, pulled back to G; the first step needs no quotient
         if current.order() == 1:
-            return (o_pprime if kind == "p'" else o_p)(G, p, cap)
-        Q = quotient(G, current, coset_cap)
-        U = (o_pprime if kind == "p'" else o_p)(Q.image, p, cap)
+            return (o_pprime if kind == "p'" else o_p)(G, p)
+        Q = quotient(G, current)
+        U = (o_pprime if kind == "p'" else o_p)(Q.image, p)
         return preimage(Q, U)
 
     while True:
@@ -314,24 +334,24 @@ def upper_p_series(G: PermutationGroup, p: int,
                         p_length=p_steps_grown, is_p_solvable=solvable)
 
 
-def is_p_solvable(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    return upper_p_series(G, p, cap).is_p_solvable
+def is_p_solvable(G: PermutationGroup, p: int) -> bool:
+    return upper_p_series(G, p).is_p_solvable
 
 
-def p_length(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def p_length(G: PermutationGroup, p: int) -> int:
     """Number of p-steps in the upper p-series. Raises NotPSolvable when
     the series stalls below G, since the count would be meaningless."""
-    rep = upper_p_series(G, p, cap)
+    rep = upper_p_series(G, p)
     if not rep.is_p_solvable:
         raise NotPSolvable(f"group is not {p}-solvable")
     return rep.p_length
 
 
-def o_pprime_p(G: PermutationGroup, p: int, cap: int = DEFAULT_ENUM_CAP,
-               coset_cap: int = DEFAULT_COSET_CAP) -> PermutationGroup:
+@group_fact
+def o_pprime_p(G: PermutationGroup, p: int) -> PermutationGroup:
     """The second upper-series term: preimage of the p-core of G / O_p'(G)."""
-    T1 = o_pprime(G, p, cap)
+    T1 = o_pprime(G, p)
     if T1.order() == 1:
-        return o_p(G, p, cap)
-    Q = quotient(G, T1, coset_cap)
-    return preimage(Q, o_p(Q.image, p, cap))
+        return o_p(G, p)
+    Q = quotient(G, T1)
+    return preimage(Q, o_p(Q.image, p))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
-from .group import DEFAULT_ENUM_CAP, PermutationGroup, span, trivial_group
+from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation, identity
 
 DEFAULT_COSET_CAP = 100_000
@@ -27,6 +27,14 @@ def is_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
     """True when A <= B."""
     _check_degrees(A, B)
     return all(B.contains(g) for g in A.generators)
+
+
+def _first_outside(A: PermutationGroup, B: PermutationGroup):
+    """A generator of A outside B, or None when A <= B."""
+    for g in A.generators:
+        if not B.contains(g):
+            return g
+    return None
 
 
 def same_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
@@ -106,7 +114,7 @@ def iterated_commutator(N: PermutationGroup, M: PermutationGroup, k: int) -> Per
     return current
 
 
-def power_subgroup(N: PermutationGroup, q: int, cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
     """N^q = <n^q for every element n of N>.
 
     The full element set is enumerated: powers of the generators alone
@@ -116,35 +124,32 @@ def power_subgroup(N: PermutationGroup, q: int, cap: int = DEFAULT_ENUM_CAP) -> 
         raise ValueError("exponent must be positive")
     if q == 1:
         return N
-    return span(N.degree, (x ** q for x in N.elements(cap)))
+    return span(N.degree, (x ** q for x in N.elements()))
 
 
-def normalizer(G: PermutationGroup, H: PermutationGroup,
-               cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """N_G(H) by scanning every element of G."""
     _check_degrees(G, H)
     hgens = H.generators
-    keep = [g for g in G.elements(cap)
+    keep = [g for g in G.elements()
             if all(H.contains(h.conjugate(g)) for h in hgens)]
     return span(G.degree, keep)
 
 
-def centralizer(G: PermutationGroup, S: PermutationGroup,
-                cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
     """C_G(S) by scanning every element of G."""
     _check_degrees(G, S)
     sgens = S.generators
-    keep = [g for g in G.elements(cap)
+    keep = [g for g in G.elements()
             if all((s * g) == (g * s) for s in sgens)]
     return span(G.degree, keep)
 
 
-def intersect(A: PermutationGroup, B: PermutationGroup,
-              cap: int = DEFAULT_ENUM_CAP) -> PermutationGroup:
+def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     """A intersected with B, enumerating the smaller of the two."""
     _check_degrees(A, B)
     small, other = (A, B) if A.order() <= B.order() else (B, A)
-    return span(A.degree, (x for x in small.elements(cap) if other.contains(x)))
+    return span(A.degree, (x for x in small.elements() if other.contains(x)))
 
 
 class QuotientGroup:
@@ -199,15 +204,19 @@ def _canonical_rep(N: PermutationGroup, x: Permutation) -> Permutation:
     return x
 
 
-def quotient(G: PermutationGroup, N: PermutationGroup,
-             coset_cap: int = DEFAULT_COSET_CAP) -> QuotientGroup:
-    """G/N via the right-coset action. N must be normal in G."""
+def quotient(G: PermutationGroup, N: PermutationGroup) -> QuotientGroup:
+    """G/N via the right-coset action. N must be normal in G.
+
+    Raises CapExceeded before building anything when the index exceeds
+    DEFAULT_COSET_CAP.
+    """
     _check_degrees(G, N)
     if not is_normal(G, N):
         raise NotNormal("kernel is not a normal subgroup of the base group")
     m = G.order() // N.order()
-    if m > coset_cap:
-        raise CapExceeded(f"index {m} exceeds coset cap {coset_cap}", cap=coset_cap)
+    if m > DEFAULT_COSET_CAP:
+        raise CapExceeded(f"index {m} exceeds coset cap {DEFAULT_COSET_CAP}",
+                          cap=DEFAULT_COSET_CAP)
 
     start = _canonical_rep(N, identity(G.degree))
     reps = [start]
@@ -245,10 +254,10 @@ def preimage(Q: QuotientGroup, S: PermutationGroup) -> PermutationGroup:
     return PermutationGroup(Q.base.degree, gens)
 
 
-def conjugacy_classes(G: PermutationGroup, cap: int = DEFAULT_ENUM_CAP):
+def conjugacy_classes(G: PermutationGroup):
     """Conjugacy classes as lists, each headed by its first element in
     enumeration order. Deterministic for a fixed chain."""
-    els = G.elements(cap)
+    els = G.elements()
     seen = set()
     classes = []
     for x in els:
@@ -269,15 +278,16 @@ def conjugacy_classes(G: PermutationGroup, cap: int = DEFAULT_ENUM_CAP):
     return classes
 
 
-def normal_subgroups(G: PermutationGroup, limit: int = 20_000,
-                     cap: int = DEFAULT_ENUM_CAP) -> list[PermutationGroup]:
+@group_fact
+def normal_subgroups(G: PermutationGroup,
+                     limit: int = 20_000) -> tuple[PermutationGroup, ...]:
     """Every normal subgroup of G, by closing unions of conjugacy classes.
 
     Each normal subgroup is generated by the classes it contains, so
     growing known subgroups one class at a time reaches all of them.
     Intended for small groups; raises CapExceeded past `limit` subgroups.
     """
-    classes = conjugacy_classes(G, cap)
+    classes = conjugacy_classes(G)
     class_data = [(cls[0], cls) for cls in classes if not cls[0].is_identity()]
 
     triv = trivial_group(G.degree)
@@ -290,12 +300,12 @@ def normal_subgroups(G: PermutationGroup, limit: int = 20_000,
             if K.contains(rep):
                 continue
             K2 = span(G.degree, kgens + cls)
-            key = frozenset(x.images for x in K2.elements(cap))
+            key = frozenset(x.images for x in K2.elements())
             if key not in found:
                 if len(found) >= limit:
                     raise CapExceeded(
                         f"more than {limit} normal subgroups", cap=limit)
                 found[key] = K2
                 queue.append(K2)
-    out = sorted(found.values(), key=lambda H: (H.order(), sorted(x.images for x in H.elements(cap))))
-    return out
+    return tuple(sorted(found.values(), key=lambda H: (
+        H.order(), sorted(x.images for x in H.elements()))))

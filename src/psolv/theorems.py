@@ -19,12 +19,13 @@ from .filtrations import (
     pf_embedded_search,
     verify_potent_filtration,
 )
-from .group import DEFAULT_ENUM_CAP, PermutationGroup, trivial_group
+from .group import PermutationGroup
 from .series import (
+    _p_valuation,
     check_p_group,
     exponent,
+    gamma,
     is_p_solvable,
-    lower_central_series,
     nilpotency_class,
     o_p,
     o_pprime,
@@ -35,7 +36,7 @@ from .series import (
     upper_p_series,
 )
 from .subgroups import (
-    DEFAULT_COSET_CAP,
+    _first_outside,
     commutator,
     is_normal,
     is_subgroup,
@@ -54,31 +55,7 @@ CORE_ORDER_NOTE = ("containment is tested against the p'-core-then-p-core "
                    "alongside because the two are easy to conflate")
 
 
-def _p_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _gamma(P: PermutationGroup, m: int) -> PermutationGroup:
-    terms = lower_central_series(P).subgroups()
-    nontrivial = [g for g in terms if not g.is_trivial()]
-    if 1 <= m <= len(nontrivial):
-        return nontrivial[m - 1]
-    return trivial_group(P.degree)
-
-
-def _first_outside(A: PermutationGroup, B: PermutationGroup):
-    for g in A.generators:
-        if not B.contains(g):
-            return g
-    return None
-
-
-def check_main_hypothesis(P: PermutationGroup, p: int, ell: int,
-                          cap: int = DEFAULT_ENUM_CAP) -> Verdict:
+def check_main_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
     """Does gamma_{ell(p-1)}(P) land inside some gamma_r(P)^(p^s) with
     ell(p-1) < r + s(p-1)?
 
@@ -94,16 +71,16 @@ def check_main_hypothesis(P: PermutationGroup, p: int, ell: int,
     if ell < 1:
         raise PreconditionViolated("the type must be at least 1")
     m = ell * (p - 1)
-    lhs = _gamma(P, m)
+    lhs = gamma(P, m)
     c = nilpotency_class(P)
-    e = _p_valuation(exponent(P, cap), p)
+    e = _p_valuation(exponent(P), p)
 
     hits = []
     for s in range(0, e + 1):
         for r in range(1, c + 2):
             if not m < r + s * (p - 1):
                 continue
-            target = power_subgroup(_gamma(P, r), p ** s, cap)
+            target = power_subgroup(gamma(P, r), p ** s)
             if is_subgroup(lhs, target):
                 hits.append((r, s))
     trivial_lhs = lhs.is_trivial()
@@ -120,7 +97,7 @@ def check_main_hypothesis(P: PermutationGroup, p: int, ell: int,
         "first_hit": list(hits[0]) if hits else None,
         "trivial_lhs": trivial_lhs,
         "lhs_in_p_power_ell": is_subgroup(
-            lhs, power_subgroup(P, p ** ell, cap)),
+            lhs, power_subgroup(P, p ** ell)),
     }
     notes = []
     if trivial_lhs and not hits:
@@ -133,16 +110,15 @@ def check_main_hypothesis(P: PermutationGroup, p: int, ell: int,
     return Verdict("main-hypothesis", holds, None, params, (), tuple(notes))
 
 
-def check_thm6_hypothesis(P: PermutationGroup, p: int, ell: int,
-                          cap: int = DEFAULT_ENUM_CAP) -> Verdict:
+def check_thm6_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
     """Does gamma_{ell(p-1)}(P) land inside E_{ell(p-1)+1, 1}(P)?"""
     require_prime(p)
     check_p_group(P, p)
     if ell < 1:
         raise PreconditionViolated("the type must be at least 1")
     m = ell * (p - 1)
-    lhs = _gamma(P, m)
-    E = compute_ekr(P, p, m + 1, 1, cap)
+    lhs = gamma(P, m)
+    E = compute_ekr(P, p, m + 1, 1)
     holds = is_subgroup(lhs, E)
     params = {
         "p": p,
@@ -158,13 +134,13 @@ def check_thm6_hypothesis(P: PermutationGroup, p: int, ell: int,
     return Verdict("thm6-hypothesis", holds, None, params, witnesses)
 
 
-def _minimal_ell(P: PermutationGroup, p: int, cap: int, thm6_only: bool):
+def _minimal_ell(P: PermutationGroup, p: int, thm6_only: bool):
     """Least ell whose hypothesis holds; terminates because the left side
     is trivial once ell(p-1) exceeds the nilpotency class."""
     c = nilpotency_class(P)
     for ell in range(1, c + 3):
-        thm6_v = check_thm6_hypothesis(P, p, ell, cap)
-        main_v = None if thm6_only else check_main_hypothesis(P, p, ell, cap)
+        thm6_v = check_thm6_hypothesis(P, p, ell)
+        main_v = None if thm6_only else check_main_hypothesis(P, p, ell)
         if thm6_v.hypothesis_holds or (main_v is not None
                                        and main_v.hypothesis_holds):
             return ell, main_v, thm6_v
@@ -172,7 +148,7 @@ def _minimal_ell(P: PermutationGroup, p: int, cap: int, thm6_only: bool):
                            "the hypothesis must hold")
 
 
-def _verify_length_links(G, p, P, ell, cap, coset_cap, params, witnesses):
+def _verify_length_links(G, p, P, ell, params, witnesses):
     """The chain of containments that turns the filtration hypothesis into
     a p-length bound, each verified directly:
 
@@ -184,9 +160,9 @@ def _verify_length_links(G, p, P, ell, cap, coset_cap, params, witnesses):
           the exponent of P / E^(p^2), hence dividing p^(ell+1).
     """
     k = max(0, (ell - 1) * (p - 1))
-    E = compute_ekr(P, p, k, 1, cap)
-    Ep2 = power_subgroup(E, p * p, cap)
-    core = o_pprime_p(G, p, cap, coset_cap)
+    E = compute_ekr(P, p, k, 1)
+    Ep2 = power_subgroup(E, p * p)
+    core = o_pprime_p(G, p)
 
     link_core = is_subgroup(Ep2, core)
     if not link_core:
@@ -194,22 +170,22 @@ def _verify_length_links(G, p, P, ell, cap, coset_cap, params, witnesses):
                           _first_outside(Ep2, core)))
 
     bound = p ** (ell + 1)
-    Qp = quotient(P, Ep2, coset_cap)
-    exp_quot = exponent(Qp.image, cap)
+    Qp = quotient(P, Ep2)
+    exp_quot = exponent(Qp.image)
     by_exponent = bound % exp_quot == 0
-    by_powers = is_subgroup(power_subgroup(P, bound, cap), Ep2)
+    by_powers = is_subgroup(power_subgroup(P, bound), Ep2)
     if by_exponent != by_powers:
         raise InternalMismatch("the exponent route and the power-subgroup "
                                "route disagree on the quotient bound")
     link_exponent = by_exponent
     if not link_exponent:
         witnesses.append(("P^(p^(ell+1)) escapes E^(p^2)",
-                          _first_outside(power_subgroup(P, bound, cap), Ep2)))
+                          _first_outside(power_subgroup(P, bound), Ep2)))
 
-    Qg = quotient(G, core, coset_cap)
+    Qg = quotient(G, core)
     image = PermutationGroup(Qg.image.degree,
                              [Qg.project(g) for g in P.generators])
-    exp_image = exponent(image, cap)
+    exp_image = exponent(image)
     link_restriction = exp_quot % exp_image == 0
     link_composed = bound % exp_image == 0
 
@@ -224,25 +200,24 @@ def _verify_length_links(G, p, P, ell, cap, coset_cap, params, witnesses):
         "link_exponent": link_exponent,
         "link_restriction": link_restriction,
         "link_composed": link_composed,
-        "p_length": p_length(G, p, cap),
+        "p_length": p_length(G, p),
     })
     return link_core and link_exponent and link_restriction and link_composed
 
 
-def _verify_length_statement(statement, G, p, ell, cap, coset_cap,
-                             thm6_only):
+def _verify_length_statement(statement, G, p, ell, thm6_only):
     require_prime(p)
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         raise NotPSolvable(f"the group is not {p}-solvable")
     if ell is not None and ell < 1:
         raise PreconditionViolated("the type must be at least 1")
-    P = sylow(G, p, cap)
+    P = sylow(G, p)
     scanned = ell is None
     if scanned:
-        ell, main_v, thm6_v = _minimal_ell(P, p, cap, thm6_only)
+        ell, main_v, thm6_v = _minimal_ell(P, p, thm6_only)
     else:
-        thm6_v = check_thm6_hypothesis(P, p, ell, cap)
-        main_v = None if thm6_only else check_main_hypothesis(P, p, ell, cap)
+        thm6_v = check_thm6_hypothesis(P, p, ell)
+        main_v = None if thm6_only else check_main_hypothesis(P, p, ell)
 
     hyp_main = main_v.hypothesis_holds if main_v is not None else False
     hyp = thm6_v.hypothesis_holds or hyp_main
@@ -265,15 +240,12 @@ def _verify_length_statement(statement, G, p, ell, cap, coset_cap,
     if not hyp:
         return Verdict(statement, False, None, params, (), tuple(notes))
     witnesses = []
-    concl = _verify_length_links(G, p, P, ell, cap, coset_cap,
-                                 params, witnesses)
+    concl = _verify_length_links(G, p, P, ell, params, witnesses)
     return Verdict(statement, True, concl, params, tuple(witnesses),
                    tuple(notes))
 
 
-def verify_main(G: PermutationGroup, p: int, ell: int | None = None,
-                cap: int = DEFAULT_ENUM_CAP,
-                coset_cap: int = DEFAULT_COSET_CAP) -> Verdict:
+def verify_main(G: PermutationGroup, p: int, ell: int | None = None) -> Verdict:
     """Bounded p-length from a lower-central containment.
 
     Hypothesis: gamma_{ell(p-1)}(P) <= gamma_r(P)^(p^s) for some r, s with
@@ -283,26 +255,22 @@ def verify_main(G: PermutationGroup, p: int, ell: int | None = None,
     left side is eventually trivial). Conclusion: the verified containment
     links bounding the exponent of the Sylow image over the p'-then-p core.
     """
-    return _verify_length_statement("main", G, p, ell, cap, coset_cap,
-                                    thm6_only=False)
+    return _verify_length_statement("main", G, p, ell, thm6_only=False)
 
 
-def verify_thm6(G: PermutationGroup, p: int, ell: int | None = None,
-                cap: int = DEFAULT_ENUM_CAP,
-                coset_cap: int = DEFAULT_COSET_CAP) -> Verdict:
+def verify_thm6(G: PermutationGroup, p: int, ell: int | None = None) -> Verdict:
     """Same length links as verify_main, but the hypothesis is only the
     product-subgroup containment gamma_{ell(p-1)}(P) <= E_{ell(p-1)+1,1}(P)."""
-    return _verify_length_statement("thm6", G, p, ell, cap, coset_cap,
-                                    thm6_only=True)
+    return _verify_length_statement("thm6", G, p, ell, thm6_only=True)
 
 
-def _require_sylow_filtration(G, p, N, F, expected_type, cap):
+def _require_sylow_filtration(G, p, N, F, expected_type):
     P = F.ambient
     if P.degree != G.degree or not is_subgroup(P, G):
         raise PreconditionViolated(
             "the chain's ambient group must be a subgroup of the group")
     check_p_group(P, p)
-    if P.order() != sylow(G, p, cap).order():
+    if P.order() != sylow(G, p).order():
         raise PreconditionViolated(
             "the chain's ambient group must be a full Sylow p-subgroup")
     if F.prime != p:
@@ -316,18 +284,17 @@ def _require_sylow_filtration(G, p, N, F, expected_type, cap):
 
 
 def verify_prop3(G: PermutationGroup, p: int, N: PermutationGroup,
-                 F: Filtration, cap: int = DEFAULT_ENUM_CAP,
-                 coset_cap: int = DEFAULT_COSET_CAP) -> Verdict:
+                 F: Filtration) -> Verdict:
     """A subgroup of a Sylow p-subgroup starting a potent filtration of
     type p-2 (p odd) lies inside the p'-then-p core."""
     require_prime(p)
     if p < 3:
         raise PreconditionViolated("an odd prime is required")
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         raise NotPSolvable(f"the group is not {p}-solvable")
-    _require_sylow_filtration(G, p, N, F, p - 2, cap)
-    pf = verify_potent_filtration(F, cap)
-    core = o_pprime_p(G, p, cap, coset_cap)
+    _require_sylow_filtration(G, p, N, F, p - 2)
+    pf = verify_potent_filtration(F)
+    core = o_pprime_p(G, p)
     params = {
         "p": p,
         "type_ell": F.type_ell,
@@ -348,21 +315,20 @@ def verify_prop3(G: PermutationGroup, p: int, N: PermutationGroup,
 
 
 def verify_prop4(G: PermutationGroup, p: int, N: PermutationGroup,
-                 F: Filtration, cap: int = DEFAULT_ENUM_CAP,
-                 coset_cap: int = DEFAULT_COSET_CAP) -> Verdict:
+                 F: Filtration) -> Verdict:
     """A subgroup starting a potent filtration of type p-1 lands in the
     p'-then-p core after raising to a power that depends on p: the p-th
     power for p >= 5, the p^2-th for p = 3, and no power at all for p = 2."""
     require_prime(p)
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         raise NotPSolvable(f"the group is not {p}-solvable")
-    _require_sylow_filtration(G, p, N, F, p - 1, cap)
-    pf = verify_potent_filtration(F, cap)
-    core = o_pprime_p(G, p, cap, coset_cap)
+    _require_sylow_filtration(G, p, N, F, p - 1)
+    pf = verify_potent_filtration(F)
+    core = o_pprime_p(G, p)
     if p >= 5:
-        tested, label = power_subgroup(N, p, cap), "N^p"
+        tested, label = power_subgroup(N, p), "N^p"
     elif p == 3:
-        tested, label = power_subgroup(N, p * p, cap), "N^(p^2)"
+        tested, label = power_subgroup(N, p * p), "N^(p^2)"
     else:
         tested, label = N, "N"
     params = {
@@ -387,8 +353,7 @@ def verify_prop4(G: PermutationGroup, p: int, N: PermutationGroup,
 
 
 def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
-                  l: int, cap: int = DEFAULT_ENUM_CAP,
-                  coset_cap: int = DEFAULT_COSET_CAP) -> Verdict:
+                  l: int) -> Verdict:
     """With trivial p'-core, a normal subgroup that the p-core eventually
     centralizes under iterated commutators lies inside the p-core."""
     require_prime(p)
@@ -396,12 +361,12 @@ def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
         raise PreconditionViolated("the commutator depth must be at least 1")
     if N.degree != G.degree or not is_subgroup(N, G) or not is_normal(G, N):
         raise PreconditionViolated("N must be a normal subgroup of the group")
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         raise NotPSolvable(f"the group is not {p}-solvable")
-    core_pprime = o_pprime(G, p, cap)
+    core_pprime = o_pprime(G, p)
     if not core_pprime.is_trivial():
         raise PreconditionViolated("the p'-core must be trivial")
-    P0 = o_p(G, p, cap)
+    P0 = o_p(G, p)
     folded = iterated_commutator(P0, N, l)
     hyp = folded.is_trivial()
     params = {
@@ -422,8 +387,7 @@ def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
 
 
 def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
-                        M: PermutationGroup, p: int, r: int, l: int,
-                        cap: int = DEFAULT_ENUM_CAP) -> Verdict:
+                        M: PermutationGroup, p: int, r: int, l: int) -> Verdict:
     """[V, M^(p^(r+l))] sits inside the product of [V, M]^(p^(r+l)) and
     the pieces [V, M, ..., M]^(p^(r+l-i)) with p^i commutator steps, for
     i = 1 .. r+l. The statement has no side hypothesis, so every instance
@@ -440,13 +404,13 @@ def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
                                        "group")
     t = r + l
     q = p ** t
-    lhs = commutator(V, power_subgroup(M, q, cap))
-    base = power_subgroup(commutator(V, M), q, cap)
+    lhs = commutator(V, power_subgroup(M, q))
+    base = power_subgroup(commutator(V, M), q)
     piece_orders = [("[V,M]", t, base.order())]
     rhs = base
     for i in range(1, t + 1):
         folded = iterated_commutator(V, M, p ** i)
-        piece = power_subgroup(folded, p ** (t - i), cap)
+        piece = power_subgroup(folded, p ** (t - i))
         piece_orders.append((f"[V,{p ** i} steps of M]", t - i, piece.order()))
         rhs = join(rhs, piece)
     concl = is_subgroup(lhs, rhs)
@@ -468,10 +432,7 @@ def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
 
 
 def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
-                   budget: int = DEFAULT_SEARCH_BUDGET,
-                   cap: int = DEFAULT_ENUM_CAP,
-                   coset_cap: int = DEFAULT_COSET_CAP,
-                   normals=None):
+                   budget: int = DEFAULT_SEARCH_BUDGET):
     """For every normal subgroup of a Sylow p-subgroup that starts a type-ell
     potent filtration, report whether it lies in the p'-then-p core.
 
@@ -484,32 +445,31 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
     if ell < 0:
         raise PreconditionViolated("the type must be nonnegative")
     base_params = {"p": p, "ell": ell, "group_order": G.order()}
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         return [Verdict("question7", False, None, dict(base_params),
                         notes=("skipped: the group is not p-solvable",),
                         report_only=True)]
-    P = sylow(G, p, cap)
+    P = sylow(G, p)
     base_params["sylow_order"] = P.order()
-    if normals is None:
-        limit = SEARCH_ORDER_LIMITS.get(p, p ** 3)
-        if P.order() > limit:
-            return [Verdict("question7", False, None, dict(base_params),
-                            notes=(f"skipped: the Sylow subgroup order "
-                                   f"{P.order()} exceeds the exhaustive "
-                                   f"search limit {limit}",),
-                            report_only=True)]
-        normals = normal_subgroups(P, cap=cap)
-    core = o_pprime_p(G, p, cap, coset_cap)
-    P0 = o_p(G, p, cap)
+    limit = SEARCH_ORDER_LIMITS.get(p, p ** 3)
+    if P.order() > limit:
+        return [Verdict("question7", False, None, dict(base_params),
+                        notes=(f"skipped: the Sylow subgroup order "
+                               f"{P.order()} exceeds the exhaustive "
+                               f"search limit {limit}",),
+                        report_only=True)]
+    normals = normal_subgroups(P)
+    core = o_pprime_p(G, p)
+    P0 = o_p(G, p)
     if P0.order() == G.order():
         swapped = G
     else:
-        Qg = quotient(G, P0, coset_cap)
-        swapped = preimage(Qg, o_pprime(Qg.image, p, cap))
+        Qg = quotient(G, P0)
+        swapped = preimage(Qg, o_pprime(Qg.image, p))
 
     out = []
     for N in normals:
-        res = pf_embedded_search(P, p, N, ell, budget, cap, normals=normals)
+        res = pf_embedded_search(P, p, N, ell, budget)
         params = dict(base_params)
         params["n_order"] = N.order()
         params["search_nodes"] = res.nodes
@@ -533,19 +493,18 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
     return out
 
 
-def hall_higman_bound(G: PermutationGroup, p: int,
-                      cap: int = DEFAULT_ENUM_CAP) -> Verdict:
+def hall_higman_bound(G: PermutationGroup, p: int) -> Verdict:
     """p-length at most the exponent valuation of a Sylow p-subgroup.
 
     Proved for odd p; for p = 2 the inequality can genuinely fail, so that
     case is reported without being asserted.
     """
     require_prime(p)
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         raise NotPSolvable(f"the group is not {p}-solvable")
-    P = sylow(G, p, cap)
-    e = _p_valuation(exponent(P, cap), p)
-    length = p_length(G, p, cap)
+    P = sylow(G, p)
+    e = _p_valuation(exponent(P), p)
+    length = p_length(G, p)
     params = {
         "p": p,
         "p_length": length,
@@ -560,14 +519,12 @@ def hall_higman_bound(G: PermutationGroup, p: int,
                    report_only=(p == 2))
 
 
-def analyze_group(G: PermutationGroup, p: int,
-                  cap: int = DEFAULT_ENUM_CAP,
-                  coset_cap: int = DEFAULT_COSET_CAP) -> Verdict:
+def analyze_group(G: PermutationGroup, p: int) -> Verdict:
     """Descriptive profile of a group at a prime: solvability, length,
     series orders, cores, Sylow structure. Never asserts anything."""
     require_prime(p)
-    rep = upper_p_series(G, p, cap, coset_cap)
-    P = sylow(G, p, cap)
+    rep = upper_p_series(G, p)
+    P = sylow(G, p)
     params = {
         "p": p,
         "degree": G.degree,
@@ -575,12 +532,12 @@ def analyze_group(G: PermutationGroup, p: int,
         "is_p_solvable": rep.is_p_solvable,
         "p_length": rep.p_length if rep.is_p_solvable else None,
         "upper_series_orders": rep.orders(),
-        "p_core_order": o_p(G, p, cap).order(),
-        "pprime_core_order": o_pprime(G, p, cap).order(),
+        "p_core_order": o_p(G, p).order(),
+        "pprime_core_order": o_pprime(G, p).order(),
         "sylow_order": P.order(),
         "sylow_class": nilpotency_class(P),
-        "sylow_exponent": exponent(P, cap),
-        "group_exponent": exponent(G, cap),
+        "sylow_exponent": exponent(P),
+        "group_exponent": exponent(G),
     }
     notes = ()
     if not rep.is_p_solvable:

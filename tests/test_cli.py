@@ -162,6 +162,23 @@ def test_domain_errors_exit_1(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("token", ["gamma:x", "ekr:1:y", "gens:(1 2",
+                                   "gens:(0 1)"])
+def test_malformed_subgroup_token_exits_1(capsys, token):
+    code, out, err = run(capsys, "pf", "verify", "--recipe", "dihedral:4",
+                         "--p", "2", "--term", token)
+    assert code == 1
+    assert err.startswith("psolv: error:")
+    assert repr(token) in err
+
+
+def test_cap_flags_are_gone(capsys):
+    code, out, err = run(capsys, "analyze", "--enum-cap", "5", "--recipe",
+                         "symmetric:4", "--p", "2")
+    assert code == 1
+    assert "unrecognized arguments: --enum-cap" in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--file",
                          str(tmp_path / "no.json"), "--p", "2")
@@ -184,7 +201,7 @@ def test_finding_exits_2(capsys, monkeypatch):
                   "witnesses": [], "notes": [], "report_only": False,
                   "is_finding": True})
     monkeypatch.setattr(cli, "run_catalog",
-                        lambda p, seed, only, cap, coset_cap: [bad])
+                        lambda p, seed, only: [bad])
     code, out, err = run(capsys, "catalog", "run", "--p", "2")
     assert code == 2
     assert "FINDING" in out

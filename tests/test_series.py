@@ -1,12 +1,18 @@
 import pytest
 
-from psolv.errors import NotAPGroup, NotPSolvable, UnsupportedParameters
+from psolv.errors import (
+    CapExceeded,
+    NotAPGroup,
+    NotPSolvable,
+    UnsupportedParameters,
+)
 from psolv.group import PermutationGroup
 from psolv.perm import parse_cycles
 from psolv.series import (
     derived_series,
     exponent,
     frattini_p,
+    gamma,
     is_p_group,
     is_p_solvable,
     is_prime,
@@ -19,7 +25,7 @@ from psolv.series import (
     sylow,
     upper_p_series,
 )
-from psolv.subgroups import same_subgroup
+from psolv.subgroups import normal_subgroups, same_subgroup
 
 from oracles import elements_of, exponent_of, upper_p_series_sets
 
@@ -175,3 +181,36 @@ def test_o_pprime_p():
     assert o_pprime_p(S3, 2).order() == 6
     assert o_pprime_p(S3, 3).order() == 3
     assert o_pprime_p(SL23, 2).order() == 8
+
+
+def test_gamma_terms():
+    assert gamma(D8, 1) is D8
+    assert gamma(D8, 2).order() == 2
+    assert gamma(D8, 5).is_trivial()
+    assert gamma(S3, 5).order() == 3   # the series stalls at A3
+    with pytest.raises(UnsupportedParameters):
+        gamma(D8, 0)
+
+
+def test_facts_are_computed_once_per_group():
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    assert sylow(G, 2) is sylow(G, 2)
+    assert upper_p_series(G, 2) is upper_p_series(G, 2)
+    # a fresh object for the same group computes its own facts
+    H = g(4, "(1 2)", "(1 2 3 4)")
+    assert sylow(H, 2) is not sylow(G, 2)
+    assert same_subgroup(sylow(H, 2), sylow(G, 2))
+
+
+def test_cached_lattice_keeps_its_limit():
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    assert len(normal_subgroups(G)) == 4
+    with pytest.raises(CapExceeded):
+        normal_subgroups(G, limit=2)
+
+
+def test_cached_elements_keep_their_cap():
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    assert len(G.elements()) == 24
+    with pytest.raises(CapExceeded):
+        G.elements(cap=23)
