@@ -13,15 +13,15 @@ import random
 from .catalog import DEFAULT_CATALOG, TOOL_VERSION, Report, build_group
 from .errors import CapExceeded, KernelNotElementaryAbelian
 from .filtrations import (
-    SEARCH_ORDER_LIMITS,
     SearchOutcome,
     check_prop1,
     ekr_pf_candidates,
     pf_embedded_search,
+    search_order_limit,
 )
 from .linear import FpMatrix, LinearAction, unipotency_degree
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
-from .subgroups import normal_subgroups, quotient
+from .subgroups import normal_subgroups, quotient, same_subgroup
 from .theorems import (
     analyze_group,
     check_O24_inclusion,
@@ -60,8 +60,9 @@ def _search_starts(normals):
     return seen
 
 
-def _chain_key(F):
-    return (F.type_ell, tuple(frozenset(N.elements()) for N in F.terms))
+def _same_chain(F1, F2):
+    return (F1.type_ell == F2.type_ell and len(F1.terms) == len(F2.terms)
+            and all(same_subgroup(A, B) for A, B in zip(F1.terms, F2.terms)))
 
 
 def battery_for_group(G, gid: str, p: int, seed: int):
@@ -82,7 +83,7 @@ def battery_for_group(G, gid: str, p: int, seed: int):
 
     P = sylow(G, p)
     normals_P = None
-    if P.order() <= SEARCH_ORDER_LIMITS.get(p, p ** 3):
+    if P.order() <= search_order_limit(p):
         try:
             normals_P = normal_subgroups(P)
         except CapExceeded:
@@ -93,8 +94,7 @@ def battery_for_group(G, gid: str, p: int, seed: int):
     found_chains = []
 
     def remember(F):
-        key = _chain_key(F)
-        if all(_chain_key(other) != key for other in found_chains):
+        if not any(_same_chain(F, other) for other in found_chains):
             found_chains.append(F)
 
     for F, pf in ekr_pf_candidates(P, p, p - 1, 1):

@@ -471,7 +471,17 @@ def emit_report(reports, fmt: str = "text") -> str:
     if fmt == "structured":
         doc = {"schema": REPORT_SCHEMA,
                "reports": [r.to_payload() for r in reports]}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # json.dumps keeps every small encoded chunk in one list until the
+        # final join; joining in batches holds little more than the text
+        pieces, batch = [], []
+        for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc):
+            batch.append(chunk)
+            if len(batch) == 4096:
+                pieces.append("".join(batch))
+                batch.clear()
+        pieces.append("".join(batch))
+        pieces.append("\n")
+        return "".join(pieces)
     if fmt != "text":
         raise UnsupportedParameters(f"unknown report format {fmt!r}")
     lines = []

@@ -36,6 +36,7 @@ from .series import (
 from .subgroups import (
     _first_outside,
     commutator,
+    element_mask,
     is_normal,
     is_subgroup,
     iterated_commutator,
@@ -55,6 +56,11 @@ SEARCH_ORDER_LIMITS = {2: 512, 3: 729, 5: 3125}
 
 ELL_ZERO_NOTE = ("type 0 uses the literal reading: the potency condition "
                  "degenerates to N_i <= N_{i+1}^p")
+
+
+def search_order_limit(p: int) -> int:
+    """Largest ambient order the exhaustive lattice search is tried at."""
+    return SEARCH_ORDER_LIMITS.get(p, p ** 3)
 
 
 @dataclass(frozen=True)
@@ -350,6 +356,8 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
     p^3 otherwise); larger P, an enumeration overflow, or running out of
     node budget all report "exhausted" rather than guessing.
     "not_pf_embedded" is only returned after the full space is searched.
+    Lattice members, their commutators with P and their p-th powers are
+    compared as element masks over P (element_mask).
 
     A precomputed `normals` lattice (as from normal_subgroups(P)) skips the
     order limit and the enumeration. Without it the lattice comes from
@@ -369,7 +377,7 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         return SearchOutcome(SearchOutcome.FOUND, F, 0, tuple(notes))
 
     if normals is None:
-        limit = SEARCH_ORDER_LIMITS.get(p, p ** 3)
+        limit = search_order_limit(p)
         if P.order() > limit:
             notes.append(f"ambient order {P.order()} is above the exhaustive "
                          f"enumeration limit {limit}")
@@ -380,20 +388,21 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
             notes.append("normal subgroup enumeration overflowed its cap")
             return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
-    sets = [frozenset(H.elements()) for H in normals]
+    sets = [element_mask(P, H.elements()) for H in normals]
     by_set = {s: i for i, s in enumerate(sets)}
-    start = by_set.get(frozenset(N.elements()))
+    start = by_set.get(element_mask(P, N.elements()))
     if start is None:
         raise InternalMismatch("a normal subgroup is missing from the lattice "
                                "enumeration")
 
-    bracket_cache: dict[int, frozenset] = {}
-    folded_cache: dict[int, frozenset] = {}
-    power_cache: dict[int, frozenset] = {}
+    bracket_cache: dict[int, int] = {}
+    folded_cache: dict[int, int] = {}
+    power_cache: dict[int, int] = {}
 
     def bracket(i):
         if i not in bracket_cache:
-            bracket_cache[i] = frozenset(commutator(normals[i], P).elements())
+            bracket_cache[i] = element_mask(
+                P, commutator(normals[i], P).elements())
         return bracket_cache[i]
 
     def folded(i):
@@ -401,14 +410,18 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
             if ell == 0:
                 folded_cache[i] = sets[i]
             else:
-                folded_cache[i] = frozenset(
-                    iterated_commutator(normals[i], P, ell).elements())
+                folded_cache[i] = element_mask(
+                    P, iterated_commutator(normals[i], P, ell).elements())
         return folded_cache[i]
 
     def power(i):
         if i not in power_cache:
-            power_cache[i] = frozenset(power_subgroup(normals[i], p).elements())
+            power_cache[i] = element_mask(
+                P, power_subgroup(normals[i], p).elements())
         return power_cache[i]
+
+    def inside(a, b):
+        return a & ~b == 0
 
     nodes = 0
     memo: dict[int, list | None] = {}
@@ -420,17 +433,17 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         nodes += 1
         if nodes > budget:
             raise _BudgetHit
-        if len(sets[x]) == 1:
+        if sets[x].bit_count() == 1:
             memo[x] = [x]
             return memo[x]
         memo[x] = None
         # normals come sorted ascending by order, so candidates are tried
         # smallest first; the lattice is tiny, completeness comes from memo
         for m in range(len(normals)):
-            if sets[m] >= sets[x]:
+            if inside(sets[x], sets[m]):
                 continue
-            if not (sets[m] <= sets[x] and bracket(x) <= sets[m]
-                    and folded(x) <= power(m)):
+            if not (inside(sets[m], sets[x]) and inside(bracket(x), sets[m])
+                    and inside(folded(x), power(m))):
                 continue
             tail = extend(m)
             if tail is not None:

@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .perm import Permutation, identity
-from .series import require_prime
+from .series import _prime_power, require_prime
 from .subgroups import QuotientGroup
 
 
@@ -110,15 +110,6 @@ class FpMatrix:
         return {"p": self.p, "rows": [list(r) for r in self.rows]}
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 class LinearAction:
     """The conjugation action of a group on the elementary abelian kernel of
     one of its quotients, materialized as F_p matrices.
@@ -135,7 +126,11 @@ class LinearAction:
             if order == 1:
                 raise UnsupportedParameters(
                     "the prime cannot be inferred from a trivial kernel")
-            p = _smallest_prime_factor(order)
+            pk = _prime_power(order)
+            if pk is None:
+                raise KernelNotElementaryAbelian(
+                    f"the kernel order {order} is not a prime power")
+            p = pk[0]
         require_prime(p)
 
         gens = [g for g in V.generators if not g.is_identity()]

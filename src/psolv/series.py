@@ -246,21 +246,17 @@ def _core_by_class_closures(G, p, want_p_group):
 
 
 def _sylow_conjugates_intersection(G, p):
-    P = sylow(G, p)
-    if P.is_trivial():
-        return P
-    K = P
-    seen = {frozenset(x.images for x in P.elements())}
-    queue = [P]
-    while queue:
-        H = queue.pop()
+    # fixpoint of K -> K meet K^g over the generators g, from a Sylow
+    # subgroup: a normal p-subgroup lies in every K^g, so it survives each
+    # step, and the fixpoint is normalized by every generator
+    K = sylow(G, p)
+    while not K.is_trivial():
+        L = K
         for g in G.generators:
-            C = conjugate_subgroup(H, g)
-            key = frozenset(x.images for x in C.elements())
-            if key not in seen:
-                seen.add(key)
-                queue.append(C)
-                K = intersect(K, C)
+            L = intersect(L, conjugate_subgroup(K, g))
+        if L.order() == K.order():
+            break
+        K = L
     return K
 
 
@@ -268,8 +264,9 @@ def _sylow_conjugates_intersection(G, p):
 def o_p(G: PermutationGroup, p: int) -> PermutationGroup:
     """Largest normal p-subgroup, computed two ways and cross-checked.
 
-    Route one intersects all conjugates of a Sylow p-subgroup; route two
-    joins the normal closures of p-elements whose closure is a p-group.
+    Route one starts at a Sylow p-subgroup and intersects it with its
+    conjugates by the generators of G until the order stops falling; route
+    two joins the normal closures of p-elements whose closure is a p-group.
     Disagreement raises InternalMismatch.
     """
     require_prime(p)

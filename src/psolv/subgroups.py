@@ -279,33 +279,77 @@ def conjugacy_classes(G: PermutationGroup):
 
 
 @group_fact
+def _element_positions(G: PermutationGroup) -> dict:
+    return {x.images: i for i, x in enumerate(G.elements())}
+
+
+def element_mask(G: PermutationGroup, elements) -> int:
+    """A set of elements of G as an int: bit i stands for G.elements()[i].
+
+    Containment is `a & ~b == 0` and the set size is the popcount. Every
+    element must lie in G.
+    """
+    positions = _element_positions(G)
+    mask = 0
+    for x in elements:
+        mask |= 1 << positions[x.images]
+    return mask
+
+
+@group_fact
 def normal_subgroups(G: PermutationGroup,
                      limit: int = 20_000) -> tuple[PermutationGroup, ...]:
     """Every normal subgroup of G, by closing unions of conjugacy classes.
 
     Each normal subgroup is generated by the classes it contains, so
     growing known subgroups one class at a time reaches all of them.
-    Intended for small groups; raises CapExceeded past `limit` subgroups.
+    Subgroups are told apart by their element masks (element_mask): for a
+    normal K and a class C outside it, K<C> is the closure of K under right
+    multiplication by C, and only a mask not seen before is turned into a
+    group by span. The result is sorted by order, then by sorted element
+    images. Intended for small groups; raises CapExceeded past `limit`
+    subgroups.
     """
-    classes = conjugacy_classes(G)
-    class_data = [(cls[0], cls) for cls in classes if not cls[0].is_identity()]
+    els = G.elements()
+    positions = _element_positions(G)
+    classes = [cls for cls in conjugacy_classes(G) if not cls[0].is_identity()]
+    class_masks = [element_mask(G, cls) for cls in classes]
 
-    triv = trivial_group(G.degree)
-    found = {frozenset((identity(G.degree),)): triv}
-    queue = deque([triv])
+    def close(mask, cls):
+        frontier = [i for i in range(len(els)) if mask >> i & 1]
+        while frontier:
+            grown = []
+            for i in frontier:
+                x = els[i]
+                for c in cls:
+                    j = positions[(x * c).images]
+                    if not mask >> j & 1:
+                        mask |= 1 << j
+                        grown.append(j)
+            frontier = grown
+        return mask
+
+    one = element_mask(G, [identity(G.degree)])
+    found = {one: trivial_group(G.degree)}
+    queue = deque([one])
     while queue:
-        K = queue.popleft()
-        kgens = list(K.generators)
-        for rep, cls in class_data:
-            if K.contains(rep):
+        k = queue.popleft()
+        kgens = list(found[k].generators)
+        for c, cls in zip(class_masks, classes):
+            if c & k:
                 continue
+            m = close(k, cls)
+            if m in found:
+                continue
+            if len(found) >= limit:
+                raise CapExceeded(f"more than {limit} normal subgroups", cap=limit)
             K2 = span(G.degree, kgens + cls)
-            key = frozenset(x.images for x in K2.elements())
-            if key not in found:
-                if len(found) >= limit:
-                    raise CapExceeded(
-                        f"more than {limit} normal subgroups", cap=limit)
-                found[key] = K2
-                queue.append(K2)
-    return tuple(sorted(found.values(), key=lambda H: (
-        H.order(), sorted(x.images for x in H.elements()))))
+            if K2.order() != m.bit_count():
+                raise InternalMismatch(
+                    f"span order {K2.order()} disagrees with closure size "
+                    f"{m.bit_count()}")
+            found[m] = K2
+            queue.append(m)
+    return tuple(found[m] for m in sorted(found, key=lambda m: (
+        m.bit_count(),
+        sorted(x.images for i, x in enumerate(els) if m >> i & 1))))

@@ -12,11 +12,11 @@ from __future__ import annotations
 from .errors import InternalMismatch, NotPSolvable, PreconditionViolated
 from .filtrations import (
     DEFAULT_SEARCH_BUDGET,
-    SEARCH_ORDER_LIMITS,
     Filtration,
     SearchOutcome,
     compute_ekr,
     pf_embedded_search,
+    search_order_limit,
     verify_potent_filtration,
 )
 from .group import PermutationGroup
@@ -451,7 +451,7 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
                         report_only=True)]
     P = sylow(G, p)
     base_params["sylow_order"] = P.order()
-    limit = SEARCH_ORDER_LIMITS.get(p, p ** 3)
+    limit = search_order_limit(p)
     if P.order() > limit:
         return [Verdict("question7", False, None, dict(base_params),
                         notes=(f"skipped: the Sylow subgroup order "

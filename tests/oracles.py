@@ -91,6 +91,15 @@ def normal_subgroup_sets(G_elems, degree):
     return out
 
 
+def sylow_core_set(G_elems, P_elems):
+    """The intersection of the conjugates P^g over every g in G, which is
+    the largest normal subgroup of G inside P."""
+    core = frozenset(P_elems)
+    for g in G_elems:
+        core &= {x.conjugate(g) for x in P_elems}
+    return core
+
+
 def upper_p_series_sets(G_elems, degree, p):
     """Alternating maximal p'-then-p steps, driven purely by the normal
     subgroup list. Each attempted step is recorded, so a stalled round

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from psolv.battery import run_catalog
 from psolv.catalog import (
     DEFAULT_CATALOG,
     REPORT_SCHEMA,
@@ -183,6 +185,17 @@ def test_structured_output_is_deterministic():
                        "is_finding": False})]
     assert emit_report(reports, "structured") == \
         emit_report(reports, "structured")
+
+
+# sha256 of `catalog run --p 3 --seed 7 --format structured`; the reports
+# are fixed, so an engine change that moves a byte of them is a bug
+P3_REPORT_SHA256 = \
+    "3a5151583aad5aa4513e5daa51cdc8cc679600cab8d23745abd2799db32f5022"
+
+
+def test_p3_catalog_report_bytes_are_pinned():
+    blob = emit_report(run_catalog(3, 7), "structured")
+    assert hashlib.sha256(blob.encode()).hexdigest() == P3_REPORT_SHA256
 
 
 def test_emit_report_rejects_unknown_format():

@@ -11,6 +11,7 @@ from psolv.filtrations import (
     ekr_pf_candidates,
     ekr_terms,
     pf_embedded_search,
+    search_order_limit,
     verify_potent_filtration,
 )
 from psolv.group import PermutationGroup, trivial_group
@@ -202,6 +203,10 @@ def test_search_order_limit_is_a_status_not_an_error():
     out = pf_embedded_search(big, 2, big, 1)
     assert out.status == SearchOutcome.EXHAUSTED
     assert any("limit" in n for n in out.notes)
+
+
+def test_search_order_limit():
+    assert [search_order_limit(p) for p in (2, 3, 5, 7)] == [512, 729, 3125, 343]
 
 
 def test_search_accepts_precomputed_lattice():

@@ -1,5 +1,6 @@
 import pytest
 
+from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import (
     CapExceeded,
     NotAPGroup,
@@ -9,6 +10,7 @@ from psolv.errors import (
 from psolv.group import PermutationGroup
 from psolv.perm import parse_cycles
 from psolv.series import (
+    _sylow_conjugates_intersection,
     derived_series,
     exponent,
     frattini_p,
@@ -27,7 +29,12 @@ from psolv.series import (
 )
 from psolv.subgroups import normal_subgroups, same_subgroup
 
-from oracles import elements_of, exponent_of, upper_p_series_sets
+from oracles import (
+    elements_of,
+    exponent_of,
+    sylow_core_set,
+    upper_p_series_sets,
+)
 
 
 def g(degree, *cycle_texts):
@@ -117,6 +124,30 @@ def test_o_p():
     assert same_subgroup(o_p(D8, 2), D8)
     assert o_p(A5, 2).is_trivial()
     assert o_p(SL23, 2).order() == 8
+
+
+@pytest.mark.parametrize("gid", [*DEFAULT_CATALOG, "symmetric:7"])
+def test_core_by_intersection_against_definition(gid):
+    # every catalog group (none is above order 720) at each of 2, 3, 5 that
+    # divides its order, plus S7 at 2
+    G = build_group(gid)
+    primes = (2,) if gid == "symmetric:7" else (2, 3, 5)
+    for p in primes:
+        if G.order() % p:
+            continue
+        got = _sylow_conjugates_intersection(G, p)
+        want = sylow_core_set(G.elements(), elements_of(sylow(G, p)))
+        assert frozenset(got.elements()) == want, (gid, p)
+
+
+def test_core_by_intersection_runs_to_the_fixpoint():
+    # S3 wr C3 on these generators: the Sylow 2-subgroup's intersections
+    # with its conjugates fall 8 -> 4 -> 2 -> 1, one round is not enough
+    G = g(9, "(1 3)", "(1 2 3)", "(1 5 7)(2 4 8)(3 6 9)")
+    got = _sylow_conjugates_intersection(G, 2)
+    assert got.is_trivial()
+    assert frozenset(got.elements()) == sylow_core_set(
+        G.elements(), elements_of(sylow(G, 2)))
 
 
 def test_o_pprime():

@@ -1,12 +1,14 @@
 import pytest
 
-from psolv.errors import CapExceeded, NotNormal
+from psolv.catalog import build_group
+from psolv.errors import CapExceeded, InternalMismatch, NotNormal
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.subgroups import (
     centralizer,
     commutator,
     conjugacy_classes,
+    element_mask,
     intersect,
     is_normal,
     is_subgroup,
@@ -223,15 +225,30 @@ def test_conjugacy_classes_partition():
     (S3, 3),
     (D8, 6),     # 1, Z, C4, two Klein subgroups, D8
     (Q8, 6),
+    (build_group("elementary_abelian:2:3"), 16),
+    (build_group("elementary_abelian:2:4"), 67),
+    (build_group("extraspecial:3:plus"), 7),
+    (build_group("product(symmetric:3,cyclic:3)"), 6),
 ])
 def test_normal_subgroups_against_class_union_oracle(G, count):
     got = sorted(H.order() for H in normal_subgroups(G))
-    want = sorted(len(s) for s in
-                  normal_subgroup_sets(elements_of(G), G.degree))
+    want_sets = normal_subgroup_sets(elements_of(G), G.degree)
+    want = sorted(len(s) for s in want_sets)
     assert got == want
     assert len(got) == count
+    assert {as_set(H) for H in normal_subgroups(G)} == set(want_sets)
     for H in normal_subgroups(G):
         assert is_normal(G, H)
+
+
+def test_element_mask():
+    els = S4.elements()
+    assert element_mask(S4, els) == (1 << 24) - 1
+    assert element_mask(S4, [els[5], els[2], els[5]]) == (1 << 5) | (1 << 2)
+    v = element_mask(S4, V4.elements())
+    a = element_mask(S4, A4.elements())
+    assert v.bit_count() == 4
+    assert v & ~a == 0 and a & ~v != 0
 
 
 def test_normal_subgroups_sorted_and_bounded():
@@ -240,6 +257,14 @@ def test_normal_subgroups_sorted_and_bounded():
     assert orders == sorted(orders)
     with pytest.raises(CapExceeded):
         normal_subgroups(S4, limit=2)
+
+
+def test_lattice_checks_each_span_against_its_mask(monkeypatch):
+    import psolv.subgroups
+    monkeypatch.setattr(psolv.subgroups, "span",
+                        lambda degree, elements: trivial_group(degree))
+    with pytest.raises(InternalMismatch):
+        normal_subgroups(g(4, "(1 2)", "(1 2 3 4)"))
 
 
 def test_power_of_cyclic_matches_enumeration():
