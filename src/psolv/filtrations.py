@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedParameters,
 )
-from .group import PermutationGroup, trivial_group
+from .group import PermutationGroup, group_fact, trivial_group
 from .perm import Permutation
 from .series import (
     _p_valuation,
@@ -344,6 +344,52 @@ class _BudgetHit(Exception):
     pass
 
 
+@group_fact
+def _search_table(P: PermutationGroup, normals: tuple, p: int, ell: int):
+    """One row per lattice member N: the element masks over P of N, [N, P],
+    the ell-fold [N, P, ..., P] (N itself when ell = 0) and N^p."""
+    def mask(H):
+        return element_mask(P, H.elements())
+
+    rows = []
+    for N in normals:
+        B = commutator(N, P)
+        n, b = mask(N), mask(B)
+        folded = (n if ell == 0 else b if ell == 1
+                  else mask(iterated_commutator(B, P, ell - 1)))
+        rows.append((n, b, folded, mask(power_subgroup(N, p))))
+    return tuple(rows)
+
+
+def _extend(table, memo, budget, x):
+    """A strictly descending chain of table indices from x to the trivial
+    member, or None. Every index visited is one search node with one memo
+    entry; a node past the budget raises _BudgetHit."""
+    if x in memo:
+        return memo[x]
+    if len(memo) >= budget:
+        raise _BudgetHit
+    n, bracket, folded, _ = table[x]
+    if n.bit_count() == 1:
+        memo[x] = [x]
+        return memo[x]
+    memo[x] = None
+    # normals come sorted ascending by order, so candidates are tried
+    # smallest first; the lattice is tiny, completeness comes from memo
+    for m, (sub, _, _, power) in enumerate(table):
+        if n & ~sub == 0:
+            continue
+        # the next term lies in N, contains [N, P], and its p-th power
+        # contains the ell-fold commutator
+        if sub & ~n or bracket & ~sub or folded & ~power:
+            continue
+        tail = _extend(table, memo, budget, m)
+        if tail is not None:
+            memo[x] = [x] + tail
+            return memo[x]
+    return None
+
+
 def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
                        ell: int, budget: int = DEFAULT_SEARCH_BUDGET,
                        normals=None) -> SearchOutcome:
@@ -357,7 +403,8 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
     node budget all report "exhausted" rather than guessing.
     "not_pf_embedded" is only returned after the full space is searched.
     Lattice members, their commutators with P and their p-th powers are
-    compared as element masks over P (element_mask).
+    compared as element masks over P, read from one table per lattice,
+    prime and type that every search on P shares.
 
     A precomputed `normals` lattice (as from normal_subgroups(P)) skips the
     order limit and the enumeration. Without it the lattice comes from
@@ -388,74 +435,24 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
             notes.append("normal subgroup enumeration overflowed its cap")
             return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
-    sets = [element_mask(P, H.elements()) for H in normals]
-    by_set = {s: i for i, s in enumerate(sets)}
-    start = by_set.get(element_mask(P, N.elements()))
+    normals = tuple(normals)
+    table = _search_table(P, normals, p, ell)
+    start_set = element_mask(P, N.elements())
+    start = next((i for i, row in enumerate(table) if row[0] == start_set),
+                 None)
     if start is None:
         raise InternalMismatch("a normal subgroup is missing from the lattice "
                                "enumeration")
 
-    bracket_cache: dict[int, int] = {}
-    folded_cache: dict[int, int] = {}
-    power_cache: dict[int, int] = {}
-
-    def bracket(i):
-        if i not in bracket_cache:
-            bracket_cache[i] = element_mask(
-                P, commutator(normals[i], P).elements())
-        return bracket_cache[i]
-
-    def folded(i):
-        if i not in folded_cache:
-            if ell == 0:
-                folded_cache[i] = sets[i]
-            else:
-                folded_cache[i] = element_mask(
-                    P, iterated_commutator(normals[i], P, ell).elements())
-        return folded_cache[i]
-
-    def power(i):
-        if i not in power_cache:
-            power_cache[i] = element_mask(
-                P, power_subgroup(normals[i], p).elements())
-        return power_cache[i]
-
-    def inside(a, b):
-        return a & ~b == 0
-
-    nodes = 0
     memo: dict[int, list | None] = {}
-
-    def extend(x):
-        nonlocal nodes
-        if x in memo:
-            return memo[x]
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetHit
-        if sets[x].bit_count() == 1:
-            memo[x] = [x]
-            return memo[x]
-        memo[x] = None
-        # normals come sorted ascending by order, so candidates are tried
-        # smallest first; the lattice is tiny, completeness comes from memo
-        for m in range(len(normals)):
-            if inside(sets[x], sets[m]):
-                continue
-            if not (inside(sets[m], sets[x]) and inside(bracket(x), sets[m])
-                    and inside(folded(x), power(m))):
-                continue
-            tail = extend(m)
-            if tail is not None:
-                memo[x] = [x] + tail
-                return memo[x]
-        return None
-
     try:
-        chain = extend(start)
+        chain = _extend(table, memo, budget, start)
     except _BudgetHit:
         notes.append(f"search budget of {budget} nodes hit")
-        return SearchOutcome(SearchOutcome.EXHAUSTED, None, nodes, tuple(notes))
+        # the node that went over the budget is counted too
+        return SearchOutcome(SearchOutcome.EXHAUSTED, None, len(memo) + 1,
+                             tuple(notes))
+    nodes = len(memo)
 
     if chain is None:
         return SearchOutcome(SearchOutcome.NOT_PF_EMBEDDED, None, nodes,

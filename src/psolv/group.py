@@ -9,7 +9,6 @@ same chain, the same enumeration order and the same sampling.
 from __future__ import annotations
 
 import functools
-import inspect
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch
@@ -123,19 +122,13 @@ class StabilizerChain:
         return residue.is_identity()
 
     def iter_elements(self):
-        """Every element exactly once, in a fixed order determined by the chain."""
-
-        def rec(i):
-            if i == len(self.levels):
-                yield identity(self.degree)
-                return
-            lv = self.levels[i]
-            for beta in sorted(lv.transversal):
-                t = lv.transversal[beta]
-                for h in rec(i + 1):
-                    yield h * t
-
-        return rec(0)
+        """Every element exactly once, in a fixed order determined by the chain:
+        level i yields h * t for t in its sorted transversal, h in level i + 1."""
+        out = [identity(self.degree)]
+        for lv in reversed(self.levels):
+            ts = [lv.transversal[beta] for beta in sorted(lv.transversal)]
+            out = [h * t for t in ts for h in out]
+        return out
 
 
 class PermutationGroup:
@@ -208,24 +201,21 @@ def trivial_group(degree: int) -> PermutationGroup:
 
 
 def group_fact(fn):
-    """Compute fn(G, ...) once per group object and argument values.
+    """Compute fn(G, *args) once per group object and argument values.
 
-    The value is kept in G._facts under fn and the arguments with their
-    defaults filled in, so later calls return the very same object. A call
-    that raises stores nothing. Only for pure functions of a group whose
-    value is safe to share.
+    The value is kept in G._facts under (fn, args), so later calls return
+    the very same object. Arguments are positional only, with no defaults,
+    so each value has one key. A call that raises stores nothing. Only for
+    pure functions of a group whose value is safe to share.
     """
-    signature = inspect.signature(fn)
 
     @functools.wraps(fn)
-    def cached(G, *args, **kwargs):
-        bound = signature.bind(G, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, bound.args[1:])
+    def cached(G, *args):
+        key = (fn, args)
         try:
             return G._facts[key]
         except KeyError:
-            value = G._facts[key] = fn(G, *args, **kwargs)
+            value = G._facts[key] = fn(G, *args)
             return value
 
     return cached

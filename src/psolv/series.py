@@ -52,11 +52,11 @@ class SeriesReport:
         return [t.order() for _, t in self.terms]
 
 
-def _descending_series(G, step, label_fmt):
-    # shared truncation convention: stop at the first repeat; the repeated
-    # term is kept when nontrivial (visible stabilization) and dropped when
-    # trivial (the series simply ends at 1)
-    terms = [(label_fmt(1), G)]
+def _descending_tail(G, step, label_fmt):
+    # the terms below G; shared truncation convention: stop at the first
+    # repeat; the repeated term is kept when nontrivial (visible
+    # stabilization) and dropped when trivial (the series simply ends at 1)
+    terms = []
     current = G
     i = 1
     while True:
@@ -70,20 +70,30 @@ def _descending_series(G, step, label_fmt):
         if nxt.is_trivial():
             break
         current = nxt
-    return terms
+    return tuple(terms)
+
+
+# only the terms below G are cached: a value on G that held G would be a
+# reference cycle, keeping G and its facts alive until a full collection
+@group_fact
+def _lower_central_tail(G: PermutationGroup) -> tuple:
+    return _descending_tail(G, lambda H: commutator(H, G), lambda i: f"gamma_{i}")
 
 
 @group_fact
+def _derived_tail(G: PermutationGroup) -> tuple:
+    return _descending_tail(G, lambda H: commutator(H, H), lambda i: f"derived_{i - 1}")
+
+
 def lower_central_series(G: PermutationGroup) -> SeriesReport:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G], truncated at the first repeat."""
-    terms = _descending_series(G, lambda H: commutator(H, G), lambda i: f"gamma_{i}")
-    return SeriesReport(kind="lower_central", terms=tuple(terms))
+    return SeriesReport(kind="lower_central",
+                        terms=(("gamma_1", G),) + _lower_central_tail(G))
 
 
-@group_fact
 def derived_series(G: PermutationGroup) -> SeriesReport:
-    terms = _descending_series(G, lambda H: commutator(H, H), lambda i: f"derived_{i - 1}")
-    return SeriesReport(kind="derived", terms=tuple(terms))
+    return SeriesReport(kind="derived",
+                        terms=(("derived_0", G),) + _derived_tail(G))
 
 
 def gamma(P: PermutationGroup, i: int) -> PermutationGroup:
@@ -344,11 +354,8 @@ def p_length(G: PermutationGroup, p: int) -> int:
     return rep.p_length
 
 
-@group_fact
 def o_pprime_p(G: PermutationGroup, p: int) -> PermutationGroup:
-    """The second upper-series term: preimage of the p-core of G / O_p'(G)."""
-    T1 = o_pprime(G, p)
-    if T1.order() == 1:
-        return o_p(G, p)
-    Q = quotient(G, T1)
-    return preimage(Q, o_p(Q.image, p))
+    """The second upper-series term: preimage of the p-core of G / O_p'(G),
+    or G when the series ends at O_p'(G) = G."""
+    terms = upper_p_series(G, p).subgroups()
+    return terms[min(2, len(terms) - 1)]

@@ -15,6 +15,7 @@ from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation, identity
 
 DEFAULT_COSET_CAP = 100_000
+NORMAL_SUBGROUP_LIMIT = 20_000
 
 
 def _check_degrees(*groups):
@@ -297,8 +298,7 @@ def element_mask(G: PermutationGroup, elements) -> int:
 
 
 @group_fact
-def normal_subgroups(G: PermutationGroup,
-                     limit: int = 20_000) -> tuple[PermutationGroup, ...]:
+def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
     """Every normal subgroup of G, by closing unions of conjugacy classes.
 
     Each normal subgroup is generated by the classes it contains, so
@@ -307,8 +307,8 @@ def normal_subgroups(G: PermutationGroup,
     normal K and a class C outside it, K<C> is the closure of K under right
     multiplication by C, and only a mask not seen before is turned into a
     group by span. The result is sorted by order, then by sorted element
-    images. Intended for small groups; raises CapExceeded past `limit`
-    subgroups.
+    images. Intended for small groups; raises CapExceeded past
+    NORMAL_SUBGROUP_LIMIT subgroups.
     """
     els = G.elements()
     positions = _element_positions(G)
@@ -341,8 +341,10 @@ def normal_subgroups(G: PermutationGroup,
             m = close(k, cls)
             if m in found:
                 continue
-            if len(found) >= limit:
-                raise CapExceeded(f"more than {limit} normal subgroups", cap=limit)
+            if len(found) >= NORMAL_SUBGROUP_LIMIT:
+                raise CapExceeded(
+                    f"more than {NORMAL_SUBGROUP_LIMIT} normal subgroups",
+                    cap=NORMAL_SUBGROUP_LIMIT)
             K2 = span(G.degree, kgens + cls)
             if K2.order() != m.bit_count():
                 raise InternalMismatch(

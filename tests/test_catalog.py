@@ -187,15 +187,19 @@ def test_structured_output_is_deterministic():
         emit_report(reports, "structured")
 
 
-# sha256 of `catalog run --p 3 --seed 7 --format structured`; the reports
+# sha256 of `catalog run --p <p> --seed 7 --format structured`; the reports
 # are fixed, so an engine change that moves a byte of them is a bug
-P3_REPORT_SHA256 = \
-    "3a5151583aad5aa4513e5daa51cdc8cc679600cab8d23745abd2799db32f5022"
+REPORT_SHA256 = {
+    2: "ade4b6ee11aefd4173970020e26773c718c6e3a7cf57c89903e089337595ec03",
+    3: "3a5151583aad5aa4513e5daa51cdc8cc679600cab8d23745abd2799db32f5022",
+    5: "52c9b2ac3a59851bba674e806bad3c9a55b1302e98eca5f6d2f02345e68df7e6",
+}
 
 
-def test_p3_catalog_report_bytes_are_pinned():
-    blob = emit_report(run_catalog(3, 7), "structured")
-    assert hashlib.sha256(blob.encode()).hexdigest() == P3_REPORT_SHA256
+@pytest.mark.parametrize("p", sorted(REPORT_SHA256))
+def test_catalog_report_bytes_are_pinned(p):
+    blob = emit_report(run_catalog(p, 7), "structured")
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256[p]
 
 
 def test_emit_report_rejects_unknown_format():

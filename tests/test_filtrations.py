@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from psolv.catalog import build_group
 from psolv.errors import (LengthCapExceeded, NotAPGroup, NotNormal,
                           PreconditionViolated, UnsupportedParameters)
 from psolv.filtrations import (
@@ -16,7 +19,7 @@ from psolv.filtrations import (
 )
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
-from psolv.series import sylow
+from psolv.series import derived_series, sylow
 from psolv.subgroups import normal_subgroups, power_subgroup, same_subgroup
 
 
@@ -213,6 +216,45 @@ def test_search_accepts_precomputed_lattice():
     normals = normal_subgroups(D8)
     out = pf_embedded_search(D8, 2, Z2, 1, normals=normals)
     assert out.status == SearchOutcome.FOUND
+    again = pf_embedded_search(D8, 2, Z2, 1, normals=list(normals))
+    assert again == out
+
+
+def test_searches_share_one_mask_table(monkeypatch):
+    import psolv.filtrations
+    calls = 0
+    real = psolv.filtrations.element_mask
+
+    def counted(G, elements):
+        nonlocal calls
+        calls += 1
+        return real(G, elements)
+
+    monkeypatch.setattr(psolv.filtrations, "element_mask", counted)
+    P = sylow(build_group("wreath_cyclic:2:4"), 2)
+    normals = normal_subgroups(P)
+    assert len(normals) == 13
+    for N in normals:
+        pf_embedded_search(P, 2, N, 1)
+    # four masks per lattice member, built once, plus one per start
+    assert calls <= 5 * len(normals)
+
+
+def test_facts_and_searches_leave_no_reference_cycle():
+    # a cycle through a group's cached facts keeps the group, its chain
+    # and every fact alive until a full garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        P = g(4, "(1 2 3 4)", "(1 3)")
+        ekr_pf_candidates(P, 2, 1, 1)
+        derived_series(P)
+        out = pf_embedded_search(P, 2, P, 1)
+        assert out.status == SearchOutcome.NOT_PF_EMBEDDED
+        del P, out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_power_chain_of_powerful_group_is_potent():

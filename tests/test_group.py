@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from psolv.errors import CapExceeded, DegreeMismatch
@@ -43,6 +45,18 @@ def test_elements_cached_and_complete():
     assert len(els) == 8
     assert set(els) == set(elements_of(D8))
     assert D8.elements() is els
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        S5 = g(5, "(1 2)", "(1 2 3 4 5)")
+        assert len(S5.elements()) == 120
+        del S5
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_elements_cap():

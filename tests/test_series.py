@@ -27,7 +27,7 @@ from psolv.series import (
     sylow,
     upper_p_series,
 )
-from psolv.subgroups import normal_subgroups, same_subgroup
+from psolv.subgroups import same_subgroup
 
 from oracles import (
     elements_of,
@@ -212,6 +212,9 @@ def test_o_pprime_p():
     assert o_pprime_p(S3, 2).order() == 6
     assert o_pprime_p(S3, 3).order() == 3
     assert o_pprime_p(SL23, 2).order() == 8
+    # 5 does not divide 6: the series ends at its first p' step
+    assert o_pprime_p(S3, 5).order() == 6
+    assert o_pprime_p(S4, 2) is upper_p_series(S4, 2).subgroups()[2]
 
 
 def test_gamma_terms():
@@ -231,13 +234,6 @@ def test_facts_are_computed_once_per_group():
     H = g(4, "(1 2)", "(1 2 3 4)")
     assert sylow(H, 2) is not sylow(G, 2)
     assert same_subgroup(sylow(H, 2), sylow(G, 2))
-
-
-def test_cached_lattice_keeps_its_limit():
-    G = g(4, "(1 2)", "(1 2 3 4)")
-    assert len(normal_subgroups(G)) == 4
-    with pytest.raises(CapExceeded):
-        normal_subgroups(G, limit=2)
 
 
 def test_cached_elements_keep_their_cap():

@@ -251,12 +251,15 @@ def test_element_mask():
     assert v & ~a == 0 and a & ~v != 0
 
 
-def test_normal_subgroups_sorted_and_bounded():
+def test_normal_subgroups_sorted_and_bounded(monkeypatch):
     ns = normal_subgroups(S4)
     orders = [H.order() for H in ns]
     assert orders == sorted(orders)
+    import psolv.subgroups
+    monkeypatch.setattr(psolv.subgroups, "NORMAL_SUBGROUP_LIMIT", 2)
+    # a fresh object: the lattice cached on S4 would be returned as it is
     with pytest.raises(CapExceeded):
-        normal_subgroups(S4, limit=2)
+        normal_subgroups(g(4, "(1 2)", "(1 2 3 4)"))
 
 
 def test_lattice_checks_each_span_against_its_mask(monkeypatch):
