@@ -203,15 +203,27 @@ def element_p_part(x: Permutation, p: int) -> Permutation:
     return x ** (o // _p_part(o, p))
 
 
-@group_fact
 def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, grown through normalizers.
 
-    A p-subgroup S below full size always has a p-element of N_G(S)
-    outside S (any x with x^p in S is one), so each scan of the
-    normalizer extends S and the loop is deterministic with no restarts.
+    A p-group is its own Sylow subgroup: G itself is returned, so the two
+    share one set of cached facts and one normal-subgroup lattice. For any
+    other group the value is computed once per group object and prime.
     """
     require_prime(p)
+    if _p_part(G.order(), p) == G.order():
+        return G
+    return _grown_sylow(G, p)
+
+
+# only asked of a group that is not a p-group: sylow() answers for a
+# p-group itself, because a cached value equal to G would be a reference
+# cycle through G._facts
+@group_fact
+def _grown_sylow(G: PermutationGroup, p: int) -> PermutationGroup:
+    # a p-subgroup S below full size always has a p-element of N_G(S)
+    # outside S (any x with x^p in S is one), so each scan of the
+    # normalizer extends S and the loop is deterministic with no restarts
     target = _p_part(G.order(), p)
     if target == 1:
         return trivial_group(G.degree)

@@ -24,6 +24,11 @@ def _check_degrees(*groups):
         raise DegreeMismatch(f"groups act on different point sets: degrees {sorted(degrees)}")
 
 
+@group_fact
+def _element_positions(G: PermutationGroup) -> dict:
+    return {x.images: i for i, x in enumerate(G.elements())}
+
+
 def is_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
     """True when A <= B."""
     _check_degrees(A, B)
@@ -129,11 +134,21 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
 
 
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
-    """N_G(H) by scanning every element of G."""
+    """N_G(H) by scanning every element of G.
+
+    g is kept when g^-1 h g lies in H for every generator h of H. The
+    test looks the images up in an index of H's elements, cached on H,
+    instead of sifting through H's chain; for H <= G, enumerating H costs
+    no more than the scan of G.
+    """
     _check_degrees(G, H)
     hgens = H.generators
-    keep = [g for g in G.elements()
-            if all(H.contains(h.conjugate(g)) for h in hgens)]
+    inside = _element_positions(H)
+    keep = []
+    for g in G.elements():
+        g_inv = g.inverse()
+        if all((g_inv * h * g).images in inside for h in hgens):
+            keep.append(g)
     return span(G.degree, keep)
 
 
@@ -255,33 +270,33 @@ def preimage(Q: QuotientGroup, S: PermutationGroup) -> PermutationGroup:
     return PermutationGroup(Q.base.degree, gens)
 
 
-def conjugacy_classes(G: PermutationGroup):
-    """Conjugacy classes as lists, each headed by its first element in
-    enumeration order. Deterministic for a fixed chain."""
-    els = G.elements()
-    seen = set()
-    classes = []
-    for x in els:
-        if x in seen:
-            continue
-        cls = [x]
-        seen.add(x)
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in G.generators:
-                z = y.conjugate(g)
-                if z not in seen:
-                    seen.add(z)
-                    cls.append(z)
-                    queue.append(z)
-        classes.append(cls)
-    return classes
-
-
 @group_fact
-def _element_positions(G: PermutationGroup) -> dict:
-    return {x.images: i for i, x in enumerate(G.elements())}
+def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
+    """Conjugacy classes as a tuple of tuples of the objects in G.elements().
+
+    Each class is headed by its first element in enumeration order and
+    lists the rest in the order conjugation by the generators reaches
+    them. Cached on G; the classes hold G's own element objects, so the
+    cache keeps no second copy of the group.
+    """
+    els = G.elements()
+    positions = _element_positions(G)
+    gens = [(g.inverse(), g) for g in G.generators]
+    seen = bytearray(len(els))
+    classes = []
+    for i, x in enumerate(els):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        cls = [x]
+        for y in cls:
+            for g_inv, g in gens:
+                j = positions[(g_inv * y * g).images]
+                if not seen[j]:
+                    seen[j] = 1
+                    cls.append(els[j])
+        classes.append(tuple(cls))
+    return tuple(classes)
 
 
 def element_mask(G: PermutationGroup, elements) -> int:
@@ -345,7 +360,7 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
                 raise CapExceeded(
                     f"more than {NORMAL_SUBGROUP_LIMIT} normal subgroups",
                     cap=NORMAL_SUBGROUP_LIMIT)
-            K2 = span(G.degree, kgens + cls)
+            K2 = span(G.degree, kgens + list(cls))
             if K2.order() != m.bit_count():
                 raise InternalMismatch(
                     f"span order {K2.order()} disagrees with closure size "

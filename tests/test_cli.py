@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,19 @@ def test_analyze_structured(capsys):
     doc = json.loads(out)
     assert doc["reports"][0]["statement_id"] == "analyze"
     assert doc["reports"][0]["verdict"]["parameters"]["p_length"] == 2
+
+
+# sha256 of the one S8 analysis, the largest group the CLI is run on; its
+# bytes are fixed, so an engine change that moves one of them is a bug
+S8_REPORT_SHA256 = \
+    "2457b9c860ee229ee321e7110037685b15168f58a64c7cb07db868caa5a049ee"
+
+
+def test_analyze_s8_report_bytes_are_pinned(capsys):
+    code, out, err = run(capsys, "analyze", "--recipe", "symmetric:8",
+                         "--p", "2", "--format", "structured")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == S8_REPORT_SHA256
 
 
 def test_ekr(capsys):

@@ -20,7 +20,8 @@ from psolv.filtrations import (
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.series import derived_series, sylow
-from psolv.subgroups import normal_subgroups, power_subgroup, same_subgroup
+from psolv.subgroups import (conjugacy_classes, normal_subgroups,
+                             power_subgroup, same_subgroup)
 
 
 def g(degree, *cycle_texts):
@@ -249,6 +250,7 @@ def test_facts_and_searches_leave_no_reference_cycle():
         P = g(4, "(1 2 3 4)", "(1 3)")
         ekr_pf_candidates(P, 2, 1, 1)
         derived_series(P)
+        conjugacy_classes(P)
         out = pf_embedded_search(P, 2, P, 1)
         assert out.status == SearchOutcome.NOT_PF_EMBEDDED
         del P, out

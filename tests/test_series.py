@@ -27,7 +27,7 @@ from psolv.series import (
     sylow,
     upper_p_series,
 )
-from psolv.subgroups import same_subgroup
+from psolv.subgroups import normal_subgroups, same_subgroup
 
 from oracles import (
     elements_of,
@@ -234,6 +234,33 @@ def test_facts_are_computed_once_per_group():
     H = g(4, "(1 2)", "(1 2 3 4)")
     assert sylow(H, 2) is not sylow(G, 2)
     assert same_subgroup(sylow(H, 2), sylow(G, 2))
+
+
+def test_classes_are_computed_once_per_group(monkeypatch):
+    import psolv.series
+    real = psolv.series.conjugacy_classes
+    values = []
+
+    def counted(G):
+        values.append(real(G))
+        return values[-1]
+
+    monkeypatch.setattr(psolv.series, "conjugacy_classes", counted)
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    assert exponent(G) == 12
+    assert o_p(G, 2).order() == 4
+    assert o_pprime(G, 2).is_trivial()
+    # exponent, o_p and o_pprime each ask once; every answer is one value
+    assert len(values) == 3
+    assert all(v is values[0] for v in values)
+    H = g(4, "(1 2)", "(1 2 3 4)")
+    assert counted(H) is not values[0]
+
+
+def test_sylow_of_a_p_group_is_the_group():
+    G = build_group("extraspecial:5:plus")
+    assert sylow(G, 5) is G
+    assert normal_subgroups(sylow(G, 5)) is normal_subgroups(G)
 
 
 def test_cached_elements_keep_their_cap():

@@ -26,6 +26,7 @@ from psolv.subgroups import (
 from oracles import (
     centralizer_set,
     commutator_set,
+    conjugacy_class_of,
     elements_of,
     generated,
     normal_subgroup_sets,
@@ -134,8 +135,25 @@ def test_centralizer_against_enumeration():
         assert got == want
 
 
-def test_normalizer_against_enumeration():
-    for G, H in [(S4, g(4, "(1 2 3)")), (S4, D8), (A4, g(4, "(1 2)(3 4)"))]:
+def test_normalizer_against_enumeration(monkeypatch):
+    cases = [(S4, g(4, "(1 2 3)")), (S4, D8), (A4, g(4, "(1 2)(3 4)")),
+             (S4, trivial_group(4)), (D8, trivial_group(4)),
+             (S4, S4), (D8, D8)]
+    # the subgroups a Sylow 2-subgroup of S5 grows through: none is normal
+    import psolv.series
+    S5 = build_group("symmetric:5")
+    grown = []
+
+    def recorded(G, H):
+        grown.append(H)
+        return normalizer(G, H)
+
+    monkeypatch.setattr(psolv.series, "normalizer", recorded)
+    assert psolv.series.sylow(S5, 2).order() == 8
+    assert [H.order() for H in grown] == [2, 4]
+    assert not any(is_normal(S5, H) for H in grown)
+    cases += [(S5, H) for H in grown]
+    for G, H in cases:
         got = as_set(normalizer(G, H))
         want = normalizer_set(G.degree, elements_of(G), elements_of(H))
         assert got == want
@@ -217,6 +235,25 @@ def test_conjugacy_classes_partition():
     classes = conjugacy_classes(S4)
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 3, 6, 6, 8]
+
+
+@pytest.mark.parametrize("G", [S4, D8])
+def test_conjugacy_classes_are_the_group_elements(G):
+    classes = conjugacy_classes(G)
+    assert classes is conjugacy_classes(G)
+    assert type(classes) is tuple
+    assert all(type(cls) is tuple for cls in classes)
+    # members are G's own element objects, each exactly once, and each
+    # class is headed by its first element in enumeration order
+    pos = {id(x): i for i, x in enumerate(G.elements())}
+    assert sorted(pos[id(x)] for cls in classes for x in cls) == \
+        list(range(G.order()))
+    heads = [pos[id(cls[0])] for cls in classes]
+    assert heads == sorted(heads)
+    assert all(pos[id(cls[0])] < pos[id(x)] for cls in classes for x in cls[1:])
+    els = elements_of(G)
+    for cls in classes:
+        assert frozenset(cls) == conjugacy_class_of(els, cls[0])
 
 
 @pytest.mark.parametrize("G, count", [
