@@ -317,22 +317,24 @@ def canonical_recipe(text: str) -> str:
     return render(parse_recipe(text))
 
 
+def _build(node) -> PermutationGroup:
+    kind, args = node
+    if kind == "product":
+        return _product(_build(args[0]), _build(args[1]))
+    builder, _ = _BUILDERS[kind]
+    try:
+        G = builder(*args)
+    except UnsupportedParameters as e:
+        raise GroupParseError(str(e), location=kind) from e
+    check = _ORDER_CHECKS.get(kind)
+    if check is not None and G.order() != check(*args):
+        raise InternalMismatch(f"{kind} construction has the wrong order")
+    return G
+
+
 def build_group(text: str) -> PermutationGroup:
     """Build the group a recipe names, running its construction checks."""
-    def build(node):
-        kind, args = node
-        if kind == "product":
-            return _product(build(args[0]), build(args[1]))
-        builder, _ = _BUILDERS[kind]
-        try:
-            G = builder(*args)
-        except UnsupportedParameters as e:
-            raise GroupParseError(str(e), location=kind) from e
-        check = _ORDER_CHECKS.get(kind)
-        if check is not None and G.order() != check(*args):
-            raise InternalMismatch(f"{kind} construction has the wrong order")
-        return G
-    return build(parse_recipe(text))
+    return _build(parse_recipe(text))
 
 
 DEFAULT_CATALOG = (

@@ -101,12 +101,6 @@ class PFVerdict:
     witness: Permutation | None = None
     notes: tuple = ()
 
-    @property
-    def first_failure(self):
-        if self.valid:
-            return None
-        return (self.failed_condition, self.failed_index, self.witness)
-
     def to_payload(self):
         return {
             "valid": self.valid,

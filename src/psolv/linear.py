@@ -35,10 +35,6 @@ class FpMatrix:
         return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n))
                             for i in range(n)))
 
-    @classmethod
-    def zero(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, tuple((0,) * n for _ in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -41,10 +41,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        """Image of a point under this permutation (right action)."""
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise DegreeMismatch(

@@ -22,7 +22,6 @@ from .subgroups import (
     join,
     normal_closure,
     normalizer,
-    power_subgroup,
     preimage,
     quotient,
     same_subgroup,
@@ -167,18 +166,6 @@ def is_p_group(G: PermutationGroup, p: int) -> bool:
 def check_p_group(G: PermutationGroup, p: int):
     if not is_p_group(G, p):
         raise NotAPGroup(f"group of order {G.order()} is not a {p}-group")
-
-
-def frattini_p(P: PermutationGroup) -> PermutationGroup:
-    """Frattini subgroup of a p-group: P^p * [P, P]."""
-    n = P.order()
-    if n == 1:
-        return P
-    pk = _prime_power(n)
-    if pk is None:
-        raise NotAPGroup(f"order {n} is not a prime power")
-    p = pk[0]
-    return join(power_subgroup(P, p), commutator(P, P))
 
 
 def _p_part(n: int, p: int) -> int:

@@ -133,23 +133,61 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
     return span(N.degree, (x ** q for x in N.elements()))
 
 
-def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
-    """N_G(H) by scanning every element of G.
+def _conjugate_images(y: Permutation, g: Permutation, g_inv: Permutation) -> tuple:
+    """Images of g^-1 * y * g in one pass, given g_inv = g^-1."""
+    gi = g.images
+    yi = y.images
+    return tuple(gi[yi[w]] for w in g_inv.images)
 
-    g is kept when g^-1 h g lies in H for every generator h of H. The
-    test looks the images up in an index of H's elements, cached on H,
-    instead of sifting through H's chain; for H <= G, enumerating H costs
-    no more than the scan of G.
+
+def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
+    """N_G(H) as the stabilizer of H in G's conjugation action. H <= G.
+
+    The conjugates of H are walked breadth-first from H under the
+    generators of G, each keyed by its element mask over G.elements() and
+    reached by a transversal element u with H^u that conjugate. A conjugate
+    reached again by w, first reached by v, gives the Schreier generator
+    w * v^-1 of N_G(H); it is kept only when it lies outside the group
+    built so far, which starts at H (Schreier's lemma; Sims 1970). The
+    result is checked by orbit-stabilizer, |N| * |orbit| == |G|, and a
+    mismatch raises InternalMismatch. Raises ValueError unless H <= G.
     """
-    _check_degrees(G, H)
-    hgens = H.generators
-    inside = _element_positions(H)
-    keep = []
-    for g in G.elements():
-        g_inv = g.inverse()
-        if all((g_inv * h * g).images in inside for h in hgens):
-            keep.append(g)
-    return span(G.degree, keep)
+    if not is_subgroup(H, G):
+        raise ValueError("subgroup is not contained in the group")
+    positions = _element_positions(G)
+    hels = H.elements()
+
+    def conjugate_mask(u):
+        u_inv = u.inverse()
+        mask = 0
+        for h in hels:
+            mask |= 1 << positions[_conjugate_images(h, u, u_inv)]
+        return mask
+
+    ngens = list(H.generators)
+    N = H
+    e = identity(G.degree)
+    orbit = {conjugate_mask(e): e}
+    queue = deque([e])
+    while queue:
+        u = queue.popleft()
+        for g in G.generators:
+            w = u * g
+            m = conjugate_mask(w)
+            v = orbit.get(m)
+            if v is None:
+                orbit[m] = w
+                queue.append(w)
+                continue
+            s = w * v.inverse()
+            if not N.contains(s):
+                ngens.append(s)
+                N = PermutationGroup(G.degree, ngens)
+    if N.order() * len(orbit) != G.order():
+        raise InternalMismatch(
+            f"stabilizer order {N.order()} times orbit length {len(orbit)} "
+            f"disagrees with group order {G.order()}")
+    return span(G.degree, N.elements())
 
 
 def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
@@ -187,9 +225,6 @@ class QuotientGroup:
     @property
     def index(self) -> int:
         return len(self._reps)
-
-    def coset_representatives(self) -> tuple[Permutation, ...]:
-        return self._reps
 
     def project(self, x: Permutation) -> Permutation:
         """Image of a base-group element in the coset action."""
@@ -281,7 +316,7 @@ def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...
     """
     els = G.elements()
     positions = _element_positions(G)
-    gens = [(g.inverse(), g) for g in G.generators]
+    gens = [(g, g.inverse()) for g in G.generators]
     seen = bytearray(len(els))
     classes = []
     for i, x in enumerate(els):
@@ -290,8 +325,8 @@ def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...
         seen[i] = 1
         cls = [x]
         for y in cls:
-            for g_inv, g in gens:
-                j = positions[(g_inv * y * g).images]
+            for g, g_inv in gens:
+                j = positions[_conjugate_images(y, g, g_inv)]
                 if not seen[j]:
                     seen[j] = 1
                     cls.append(els[j])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -89,6 +90,18 @@ def test_recipe_parsing_and_canonical_form():
 def test_nested_product():
     G = build_group("product(product(cyclic:2,cyclic:3),cyclic:5)")
     assert G.order() == 30
+
+
+def test_building_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        G = build_group("product(symmetric:3,cyclic:3)")
+        assert G.order() == 18
+        del G
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad", [

@@ -3,7 +3,6 @@ import pytest
 from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import (
     CapExceeded,
-    NotAPGroup,
     NotPSolvable,
     UnsupportedParameters,
 )
@@ -13,7 +12,6 @@ from psolv.series import (
     _sylow_conjugates_intersection,
     derived_series,
     exponent,
-    frattini_p,
     gamma,
     is_p_group,
     is_p_solvable,
@@ -83,17 +81,6 @@ def test_exponent():
     assert exponent(E9) == 3
     for G in (S4, A4, C9):
         assert exponent(G) == exponent_of(elements_of(G))
-
-
-def test_frattini():
-    assert frattini_p(E9).is_trivial()
-    F = frattini_p(C9)
-    assert F.order() == 3
-    F = frattini_p(D8)
-    assert F.order() == 2
-    assert F.contains(parse_cycles("(1 3)(2 4)", 4))
-    with pytest.raises(NotAPGroup):
-        frattini_p(S3)
 
 
 def test_sylow_orders():
@@ -255,6 +242,20 @@ def test_classes_are_computed_once_per_group(monkeypatch):
     assert all(v is values[0] for v in values)
     H = g(4, "(1 2)", "(1 2 3 4)")
     assert counted(H) is not values[0]
+
+
+def test_s8_sylow_generators_are_pinned():
+    # the S8 report holds only invariants of P, so a different but
+    # conjugate Sylow subgroup shows only here
+    P = sylow(build_group("symmetric:8"), 2)
+    assert [x.images for x in P.generators] == [
+        (0, 1, 2, 3, 4, 7, 6, 5),
+        (0, 2, 1, 3, 4, 5, 6, 7),
+        (0, 5, 7, 3, 4, 1, 6, 2),
+        (3, 5, 7, 0, 6, 1, 4, 2),
+        (3, 5, 7, 6, 0, 1, 4, 2),
+        (5, 3, 4, 1, 2, 0, 7, 6),
+    ]
 
 
 def test_sylow_of_a_p_group_is_the_group():

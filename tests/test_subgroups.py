@@ -139,9 +139,9 @@ def test_normalizer_against_enumeration(monkeypatch):
     cases = [(S4, g(4, "(1 2 3)")), (S4, D8), (A4, g(4, "(1 2)(3 4)")),
              (S4, trivial_group(4)), (D8, trivial_group(4)),
              (S4, S4), (D8, D8)]
-    # the subgroups a Sylow 2-subgroup of S5 grows through: none is normal
+    # the subgroups that Sylow subgroups of S5 and S6 grow through: none
+    # is normal
     import psolv.series
-    S5 = build_group("symmetric:5")
     grown = []
 
     def recorded(G, H):
@@ -149,15 +149,38 @@ def test_normalizer_against_enumeration(monkeypatch):
         return normalizer(G, H)
 
     monkeypatch.setattr(psolv.series, "normalizer", recorded)
-    assert psolv.series.sylow(S5, 2).order() == 8
-    assert [H.order() for H in grown] == [2, 4]
-    assert not any(is_normal(S5, H) for H in grown)
-    cases += [(S5, H) for H in grown]
+    S5 = build_group("symmetric:5")
+    S6 = build_group("symmetric:6")
+    for G, p, order, steps in [(S5, 2, 8, [2, 4]), (S6, 2, 16, [2, 8]),
+                               (S6, 3, 9, [3])]:
+        grown.clear()
+        assert psolv.series.sylow(G, p).order() == order
+        assert [H.order() for H in grown] == steps
+        assert not any(is_normal(G, H) for H in grown)
+        cases += [(G, H) for H in grown]
+    oracle_elements = {}
     for G, H in cases:
+        if G not in oracle_elements:
+            oracle_elements[G] = elements_of(G)
         got = as_set(normalizer(G, H))
-        want = normalizer_set(G.degree, elements_of(G), elements_of(H))
+        want = normalizer_set(G.degree, oracle_elements[G], elements_of(H))
         assert got == want
     assert same_subgroup(normalizer(S4, S4), S4)
+
+
+def test_normalizer_needs_a_subgroup():
+    # equal degrees, so the error is about containment, not DegreeMismatch
+    D10 = build_group("dihedral:5")
+    with pytest.raises(ValueError):
+        normalizer(D10, g(5, "(1 2)"))
+
+
+def test_normalizer_checks_orbit_times_stabilizer(monkeypatch):
+    # a stabilizer that drops its Schreier generators stays at H, of order
+    # 3, while the orbit of <(1 2 3)> in S4 has 4 members: 3 * 4 != 24
+    monkeypatch.setattr(PermutationGroup, "contains", lambda self, x: True)
+    with pytest.raises(InternalMismatch):
+        normalizer(S4, g(4, "(1 2 3)"))
 
 
 def test_intersect():
