@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import GroupParseError, InternalMismatch, UnsupportedParameters
 from .group import PermutationGroup
-from .perm import Permutation, identity
+from .perm import Permutation
 from .series import exponent, require_prime
 
 TOOL_VERSION = "0.1.0"

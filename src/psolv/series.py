@@ -9,7 +9,7 @@ group object and prime, so the cross-check runs once per pair too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalMismatch, NotAPGroup, NotPSolvable, UnsupportedParameters
 from .group import PermutationGroup, group_fact, span, trivial_group
@@ -209,7 +209,7 @@ def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
 @group_fact
 def _grown_sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     # a p-subgroup S below full size always has a p-element of N_G(S)
-    # outside S (any x with x^p in S is one), so each scan of the
+    # outside S (any x with x^p in S is one), so each pass over the
     # normalizer extends S and the loop is deterministic with no restarts
     target = _p_part(G.order(), p)
     if target == 1:

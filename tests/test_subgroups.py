@@ -28,7 +28,6 @@ from oracles import (
     commutator_set,
     conjugacy_class_of,
     elements_of,
-    generated,
     normal_subgroup_sets,
     normalizer_set,
     power_set,
