@@ -1,8 +1,9 @@
 """Conjugation as a linear action.
 
-When a quotient G/V has elementary abelian kernel V of order p^d, V is a
+When a normal subgroup V of G is elementary abelian of order p^d, V is a
 d-dimensional vector space over F_p and conjugation by any g in G is an
-invertible linear map T(g) on it. With right action and row vectors,
+invertible linear map T(g) on it. The pair is passed as quotient(G, V),
+which only checks that V is normal; G/V itself is never built. With right action and row vectors,
 coords(v^g) = coords(v) * T(g), so T(gh) = T(g) T(h), and the commutator
 identity coords([v, g]) = coords(v) * (T(g) - I) holds.
 """
@@ -107,8 +108,8 @@ class FpMatrix:
 
 
 class LinearAction:
-    """The conjugation action of a group on the elementary abelian kernel of
-    one of its quotients, materialized as F_p matrices.
+    """The conjugation action of a group G on an elementary abelian normal
+    subgroup V, given as quotient(G, V), materialized as F_p matrices.
 
     The basis is the greedy independent subfamily of the kernel's generators
     and every kernel element is tabulated by its exponent vector, so matrix

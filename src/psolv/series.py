@@ -22,8 +22,6 @@ from .subgroups import (
     join,
     normal_closure,
     normalizer,
-    preimage,
-    quotient,
     same_subgroup,
 )
 
@@ -233,33 +231,35 @@ def _grown_sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     return S
 
 
-def _core_by_class_closures(G, p, want_p_group):
-    # join of <x>^G over class representatives x of the right order type
-    # whose normal closure has the right order type; conjugate elements
-    # give the same closure, so one representative per class suffices
-    K = trivial_group(G.degree)
+def _core_by_class_closures(G, p, want_p_group, N):
+    # the K >= N with K/N the p- or p'-core of G/N, N normal in G, found
+    # inside G: the join of the closures N<x>^G over class representatives
+    # x whose coset xN, and whose index |N<x>^G : N|, have the right order
+    # type; conjugate elements give the same closure, so one representative
+    # per class suffices, and N = 1 gives O_p(G) or O_p'(G)
+    K = N
     for cls in conjugacy_classes(G):
         x = cls[0]
-        if x.is_identity() or K.contains(x):
+        if K.contains(x):
             continue
         o = x.order()
-        if want_p_group != (o == _p_part(o, p)):
+        part = _p_part(o, p)
+        if not N.contains(x ** (part if want_p_group else o // part)):
             continue
-        closure = normal_closure(G, span(G.degree, [x]))
-        n = closure.order()
-        part = _p_part(n, p)
-        ok = (n == part) if want_p_group else (part == 1)
-        if ok:
+        closure = normal_closure(G, span(G.degree, list(N.generators) + [x]))
+        index = closure.order() // N.order()
+        part = _p_part(index, p)
+        if (index == part) if want_p_group else (part == 1):
             K = join(K, closure)
     return K
 
 
-def _sylow_conjugates_intersection(G, p):
-    # fixpoint of K -> K meet K^g over the generators g, from a Sylow
-    # subgroup: a normal p-subgroup lies in every K^g, so it survives each
-    # step, and the fixpoint is normalized by every generator
-    K = sylow(G, p)
-    while not K.is_trivial():
+def _sylow_conjugates_intersection(G, p, N):
+    # fixpoint of K -> K meet K^g over the generators g, from PN with P a
+    # Sylow subgroup: the K >= N with K/N = O_p(G/N) lies in every K^g, so it
+    # survives each step, and the fixpoint is normalized by every generator
+    K = sylow(G, p) if N.is_trivial() else join(sylow(G, p), N)
+    while K.order() > N.order():
         L = K
         for g in G.generators:
             L = intersect(L, conjugate_subgroup(K, g))
@@ -267,6 +267,16 @@ def _sylow_conjugates_intersection(G, p):
             break
         K = L
     return K
+
+
+def _p_core_modulo(G, p, N):
+    # the K >= N with K/N = O_p(G/N), by both routes, cross-checked
+    by_intersection = _sylow_conjugates_intersection(G, p, N)
+    by_closures = _core_by_class_closures(G, p, True, N)
+    if not same_subgroup(by_intersection, by_closures):
+        raise InternalMismatch(
+            f"p-core routes disagree: orders {by_intersection.order()} vs {by_closures.order()}")
+    return by_closures
 
 
 @group_fact
@@ -279,12 +289,7 @@ def o_p(G: PermutationGroup, p: int) -> PermutationGroup:
     Disagreement raises InternalMismatch.
     """
     require_prime(p)
-    by_intersection = _sylow_conjugates_intersection(G, p)
-    by_closures = _core_by_class_closures(G, p, want_p_group=True)
-    if not same_subgroup(by_intersection, by_closures):
-        raise InternalMismatch(
-            f"p-core routes disagree: orders {by_intersection.order()} vs {by_closures.order()}")
-    return by_closures
+    return _p_core_modulo(G, p, trivial_group(G.degree))
 
 
 @group_fact
@@ -292,16 +297,18 @@ def o_pprime(G: PermutationGroup, p: int) -> PermutationGroup:
     """Largest normal p'-subgroup: join of closures of coprime-order elements
     whose normal closure has order coprime to p."""
     require_prime(p)
-    return _core_by_class_closures(G, p, want_p_group=False)
+    return _core_by_class_closures(G, p, False, trivial_group(G.degree))
 
 
 @group_fact
 def upper_p_series(G: PermutationGroup, p: int) -> SeriesReport:
-    """Alternating p'-core / p-core series built through quotients.
+    """Alternating p'-core / p-core series, computed inside G.
 
-    Starts at 1, pulls each quotient core back along the projection, and
-    stops when the whole group is reached (p-solvable) or a full p'/p
-    round makes no progress (not p-solvable; legal input, not an error).
+    Starts at 1; each term K over the term N below has K/N the p'- or
+    p-core of G/N, found from G's conjugacy classes without building G/N
+    (every p-step cross-checks its two routes, as o_p does). It stops when
+    the whole group is reached (p-solvable) or a full p'/p round makes no
+    progress (not p-solvable; legal input, not an error).
     """
     require_prime(p)
     terms = [("1", trivial_group(G.degree))]
@@ -311,12 +318,12 @@ def upper_p_series(G: PermutationGroup, p: int) -> SeriesReport:
     whole = G.order()
 
     def lift(kind):
-        # core of G/current, pulled back to G; the first step needs no quotient
+        # the core of G/current, taken back into G; over 1 it is the cached core
         if current.order() == 1:
             return (o_pprime if kind == "p'" else o_p)(G, p)
-        Q = quotient(G, current)
-        U = (o_pprime if kind == "p'" else o_p)(Q.image, p)
-        return preimage(Q, U)
+        if kind == "p'":
+            return _core_by_class_closures(G, p, False, current)
+        return _p_core_modulo(G, p, current)
 
     while True:
         grew_round = False
@@ -354,7 +361,8 @@ def p_length(G: PermutationGroup, p: int) -> int:
 
 
 def o_pprime_p(G: PermutationGroup, p: int) -> PermutationGroup:
-    """The second upper-series term: preimage of the p-core of G / O_p'(G),
+    """The second upper-series term: the subgroup K >= O_p'(G) with
+    K / O_p'(G) the p-core of G / O_p'(G),
     or G when the series ends at O_p'(G) = G."""
     terms = upper_p_series(G, p).subgroups()
     return terms[min(2, len(terms) - 1)]

@@ -1,4 +1,4 @@
-"""Subgroup lattice operations, quotients and preimages.
+"""Subgroup lattice operations, normalizers and conjugacy classes.
 
 All functions operate on PermutationGroup instances of equal degree; a
 subgroup is just a group on the same points whose generators sift through
@@ -14,7 +14,6 @@ from .errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
 from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation, identity
 
-DEFAULT_COSET_CAP = 100_000
 NORMAL_SUBGROUP_LIMIT = 20_000
 
 
@@ -49,11 +48,14 @@ def same_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
     return A.order() == B.order() and is_subgroup(A, B)
 
 
+def _normalizes(H: PermutationGroup, N: PermutationGroup) -> bool:
+    """True when conjugation by every generator of H fixes N."""
+    return all(N.contains(n.conjugate(h)) for h in H.generators for n in N.generators)
+
+
 def is_normal(G: PermutationGroup, N: PermutationGroup) -> bool:
-    """True when N <= G and conjugation by every generator of G fixes N."""
-    if not is_subgroup(N, G):
-        return False
-    return all(N.contains(n.conjugate(g)) for g in G.generators for n in N.generators)
+    """True when N <= G and G normalizes N."""
+    return is_subgroup(N, G) and _normalizes(G, N)
 
 
 def conjugate_subgroup(H: PermutationGroup, g: Permutation) -> PermutationGroup:
@@ -144,9 +146,10 @@ def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """N_G(H) as the stabilizer of H in G's conjugation action. H <= G.
 
     The conjugates of H are walked breadth-first from H under the
-    generators of G, each keyed by its element mask over G.elements() and
-    reached by a transversal element u with H^u that conjugate. A conjugate
-    reached again by w, first reached by v, gives the Schreier generator
+    generators of G, each keyed by the sorted positions of its elements in
+    G.elements() (a key that grows with |H|, not with |G|) and reached by
+    a transversal element u with H^u that conjugate. A conjugate reached
+    again by w, first reached by v, gives the Schreier generator
     w * v^-1 of N_G(H); it is kept only when it lies outside the group
     built so far, which starts at H (Schreier's lemma; Sims 1970). The
     result is checked by orbit-stabilizer, |N| * |orbit| == |G|, and a
@@ -157,26 +160,23 @@ def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     positions = _element_positions(G)
     hels = H.elements()
 
-    def conjugate_mask(u):
+    def conjugate_key(u):
         u_inv = u.inverse()
-        mask = 0
-        for h in hels:
-            mask |= 1 << positions[_conjugate_images(h, u, u_inv)]
-        return mask
+        return tuple(sorted(positions[_conjugate_images(h, u, u_inv)] for h in hels))
 
     ngens = list(H.generators)
     N = H
     e = identity(G.degree)
-    orbit = {conjugate_mask(e): e}
+    orbit = {conjugate_key(e): e}
     queue = deque([e])
     while queue:
         u = queue.popleft()
         for g in G.generators:
             w = u * g
-            m = conjugate_mask(w)
-            v = orbit.get(m)
+            key = conjugate_key(w)
+            v = orbit.get(key)
             if v is None:
-                orbit[m] = w
+                orbit[key] = w
                 queue.append(w)
                 continue
             s = w * v.inverse()
@@ -207,102 +207,26 @@ def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
 
 
 class QuotientGroup:
-    """G/N presented as a faithful permutation action on the right cosets of N.
+    """G/N held as the pair (base, kernel); N is normal in G.
 
-    Cosets are keyed by a canonical representative computed from N's
-    stabilizer chain, so coset indexing is deterministic. Coset 0 is N.
+    Nothing is built for the quotient itself: psolv computes in G/N inside
+    G (cores and exponents modulo N are read from G's conjugacy classes),
+    and a LinearAction reads only the base and the kernel.
     """
 
-    __slots__ = ("base", "kernel", "image", "_reps", "_index")
+    __slots__ = ("base", "kernel")
 
-    def __init__(self, base, kernel, image, reps, index):
+    def __init__(self, base, kernel):
         self.base = base
         self.kernel = kernel
-        self.image = image
-        self._reps = reps
-        self._index = index
-
-    @property
-    def index(self) -> int:
-        return len(self._reps)
-
-    def project(self, x: Permutation) -> Permutation:
-        """Image of a base-group element in the coset action."""
-        if not self.base.contains(x):
-            raise ValueError("element is not in the base group")
-        images = tuple(self._index[_canonical_rep(self.kernel, r * x).images]
-                       for r in self._reps)
-        return Permutation(images)
-
-    def section(self, y: Permutation) -> Permutation:
-        """A base-group preimage of an image element; project(section(y)) == y."""
-        if not self.image.contains(y):
-            raise ValueError("element is not in the quotient image")
-        return self._reps[y.images[0]]
-
-
-def _canonical_rep(N: PermutationGroup, x: Permutation) -> Permutation:
-    """Canonical representative of the coset N*x.
-
-    At each level of N's chain the transversal point with the smallest
-    image under the running product is chosen; images are distinct, so
-    the choice is unique and the result depends only on the coset.
-    """
-    chain = N.chain
-    for lv in chain.levels:
-        best = min(lv.transversal, key=lambda d: x.images[d])
-        x = lv.transversal[best] * x
-    return x
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup) -> QuotientGroup:
-    """G/N via the right-coset action. N must be normal in G.
-
-    Raises CapExceeded before building anything when the index exceeds
-    DEFAULT_COSET_CAP.
-    """
+    """G/N as a QuotientGroup. N must be normal in G and of the same degree."""
     _check_degrees(G, N)
     if not is_normal(G, N):
         raise NotNormal("kernel is not a normal subgroup of the base group")
-    m = G.order() // N.order()
-    if m > DEFAULT_COSET_CAP:
-        raise CapExceeded(f"index {m} exceeds coset cap {DEFAULT_COSET_CAP}",
-                          cap=DEFAULT_COSET_CAP)
-
-    start = _canonical_rep(N, identity(G.degree))
-    reps = [start]
-    index = {start.images: 0}
-    queue = deque([start])
-    while queue:
-        r = queue.popleft()
-        for g in G.generators:
-            c = _canonical_rep(N, r * g)
-            if c.images not in index:
-                index[c.images] = len(reps)
-                reps.append(c)
-                queue.append(c)
-    if len(reps) != m:
-        raise InternalMismatch(
-            f"coset count {len(reps)} disagrees with index {m}")
-
-    imgs = []
-    for g in G.generators:
-        imgs.append(Permutation(tuple(index[_canonical_rep(N, r * g).images] for r in reps)))
-    image = PermutationGroup(m, imgs) if m > 1 else trivial_group(1)
-    if image.order() != m:
-        raise InternalMismatch(
-            f"coset action order {image.order()} disagrees with index {m}")
-    return QuotientGroup(G, N, image, tuple(reps), index)
-
-
-def preimage(Q: QuotientGroup, S: PermutationGroup) -> PermutationGroup:
-    """Full preimage in the base group of a subgroup S of Q.image."""
-    if S.degree != Q.image.degree:
-        raise DegreeMismatch("subgroup does not live in the quotient image")
-    if not is_subgroup(S, Q.image):
-        raise ValueError("subgroup is not contained in the quotient image")
-    gens = list(Q.kernel.generators) + [Q.section(s) for s in S.generators]
-    return PermutationGroup(Q.base.degree, gens)
+    return QuotientGroup(G, N)
 
 
 @group_fact

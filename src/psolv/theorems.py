@@ -9,7 +9,9 @@ exactly what the test battery hunts for.
 
 from __future__ import annotations
 
-from .errors import InternalMismatch, NotPSolvable, PreconditionViolated
+import math
+
+from .errors import InternalMismatch, NotNormal, NotPSolvable, PreconditionViolated
 from .filtrations import (
     DEFAULT_SEARCH_BUDGET,
     Filtration,
@@ -21,6 +23,7 @@ from .filtrations import (
 )
 from .group import PermutationGroup
 from .series import (
+    _core_by_class_closures,
     _p_valuation,
     check_p_group,
     exponent,
@@ -37,15 +40,15 @@ from .series import (
 )
 from .subgroups import (
     _first_outside,
+    _normalizes,
     commutator,
+    conjugacy_classes,
     is_normal,
     is_subgroup,
     iterated_commutator,
     join,
     normal_subgroups,
     power_subgroup,
-    preimage,
-    quotient,
     same_subgroup,
 )
 from .verdicts import Verdict
@@ -148,6 +151,29 @@ def _minimal_ell(P: PermutationGroup, p: int, thm6_only: bool):
                            "the hypothesis must hold")
 
 
+def _exponent_modulo(H: PermutationGroup, N: PermutationGroup) -> int:
+    """Exponent of HN/N, computed inside H: the lcm over H's class
+    representatives x of the least m with x^m in N. The order of xN divides
+    o(x), so each prime q is stripped from o(x) while x^(m/q) stays in N.
+    Raises NotNormal unless H normalizes N."""
+    if not _normalizes(H, N):
+        raise NotNormal("the group does not normalize the kernel")
+    exp = 1
+    for cls in conjugacy_classes(H):
+        x = cls[0]
+        m = rest = x.order()
+        q = 2
+        while rest > 1:
+            if rest % q == 0:
+                while rest % q == 0:
+                    rest //= q
+                while m % q == 0 and N.contains(x ** (m // q)):
+                    m //= q
+            q += 1
+        exp = math.lcm(exp, m)
+    return exp
+
+
 def _verify_length_links(G, p, P, ell, params, witnesses):
     """The chain of containments that turns the filtration hypothesis into
     a p-length bound, each verified directly:
@@ -170,8 +196,7 @@ def _verify_length_links(G, p, P, ell, params, witnesses):
                           _first_outside(Ep2, core)))
 
     bound = p ** (ell + 1)
-    Qp = quotient(P, Ep2)
-    exp_quot = exponent(Qp.image)
+    exp_quot = _exponent_modulo(P, Ep2)
     by_exponent = bound % exp_quot == 0
     by_powers = is_subgroup(power_subgroup(P, bound), Ep2)
     if by_exponent != by_powers:
@@ -182,10 +207,7 @@ def _verify_length_links(G, p, P, ell, params, witnesses):
         witnesses.append(("P^(p^(ell+1)) escapes E^(p^2)",
                           _first_outside(power_subgroup(P, bound), Ep2)))
 
-    Qg = quotient(G, core)
-    image = PermutationGroup(Qg.image.degree,
-                             [Qg.project(g) for g in P.generators])
-    exp_image = exponent(image)
+    exp_image = _exponent_modulo(P, core)
     link_restriction = exp_quot % exp_image == 0
     link_composed = bound % exp_image == 0
 
@@ -460,12 +482,7 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
                         report_only=True)]
     normals = normal_subgroups(P)
     core = o_pprime_p(G, p)
-    P0 = o_p(G, p)
-    if P0.order() == G.order():
-        swapped = G
-    else:
-        Qg = quotient(G, P0)
-        swapped = preimage(Qg, o_pprime(Qg.image, p))
+    swapped = _core_by_class_closures(G, p, False, o_p(G, p))
 
     out = []
     for N in normals:

@@ -3,12 +3,14 @@ import pytest
 from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import (
     CapExceeded,
+    InternalMismatch,
     NotPSolvable,
     UnsupportedParameters,
 )
-from psolv.group import PermutationGroup
+from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.series import (
+    _core_by_class_closures,
     _sylow_conjugates_intersection,
     derived_series,
     exponent,
@@ -30,6 +32,7 @@ from psolv.subgroups import normal_subgroups, same_subgroup
 from oracles import (
     elements_of,
     exponent_of,
+    generated,
     sylow_core_set,
     upper_p_series_sets,
 )
@@ -122,7 +125,7 @@ def test_core_by_intersection_against_definition(gid):
     for p in primes:
         if G.order() % p:
             continue
-        got = _sylow_conjugates_intersection(G, p)
+        got = _sylow_conjugates_intersection(G, p, trivial_group(G.degree))
         want = sylow_core_set(G.elements(), elements_of(sylow(G, p)))
         assert frozenset(got.elements()) == want, (gid, p)
 
@@ -131,10 +134,55 @@ def test_core_by_intersection_runs_to_the_fixpoint():
     # S3 wr C3 on these generators: the Sylow 2-subgroup's intersections
     # with its conjugates fall 8 -> 4 -> 2 -> 1, one round is not enough
     G = g(9, "(1 3)", "(1 2 3)", "(1 5 7)(2 4 8)(3 6 9)")
-    got = _sylow_conjugates_intersection(G, 2)
+    got = _sylow_conjugates_intersection(G, 2, trivial_group(G.degree))
     assert got.is_trivial()
     assert frozenset(got.elements()) == sylow_core_set(
         G.elements(), elements_of(sylow(G, 2)))
+
+
+def _p_steps_over_nontrivial(G, p):
+    # the terms N != 1 that the upper p-series lifts a p-step over
+    terms = upper_p_series(G, p).terms
+    return [below for (_, below), (kind, _) in zip(terms, terms[1:])
+            if kind == "p" and not below.is_trivial()]
+
+
+def test_relative_p_core_against_definition():
+    # over N, both routes must give the intersection of the conjugates of
+    # PN, which is the K >= N with K/N = O_p(G/N)
+    checked = 0
+    for gid in DEFAULT_CATALOG:
+        G = build_group(gid)
+        for p in (2, 3, 5):
+            if G.order() % p:
+                continue
+            for N in _p_steps_over_nontrivial(G, p):
+                PN = generated(G.degree, elements_of(sylow(G, p)) | elements_of(N))
+                want = sylow_core_set(G.elements(), PN)
+                by_intersection = _sylow_conjugates_intersection(G, p, N)
+                by_closures = _core_by_class_closures(G, p, True, N)
+                assert elements_of(by_intersection) == want, (gid, p, N.order())
+                assert elements_of(by_closures) == want, (gid, p, N.order())
+                checked += 1
+    assert checked >= 20
+
+
+def test_relative_p_core_routes_are_cross_checked(monkeypatch):
+    import psolv.series
+    real = psolv.series._sylow_conjugates_intersection
+    seen = []
+
+    def wrong_over_nontrivial(G, p, N):
+        seen.append(N.order())
+        return N if N.order() > 1 else real(G, p, N)
+
+    monkeypatch.setattr(psolv.series, "_sylow_conjugates_intersection",
+                        wrong_over_nontrivial)
+    # a fresh S4 at p = 2: the p-step over 1 agrees, the one over A4 does not
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    with pytest.raises(InternalMismatch):
+        upper_p_series(G, 2)
+    assert seen == [1, 12]
 
 
 def test_o_pprime():

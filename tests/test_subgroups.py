@@ -1,7 +1,7 @@
 import pytest
 
 from psolv.catalog import build_group
-from psolv.errors import CapExceeded, InternalMismatch, NotNormal
+from psolv.errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.subgroups import (
@@ -18,7 +18,6 @@ from psolv.subgroups import (
     normal_subgroups,
     normalizer,
     power_subgroup,
-    preimage,
     quotient,
     same_subgroup,
 )
@@ -205,15 +204,15 @@ def test_is_subgroup_and_normal():
 
 def test_quotient_s4_mod_v4():
     Q = quotient(S4, V4)
-    assert Q.image.order() == 6
-    assert Q.kernel.order() == 4
+    assert Q.base is S4
+    assert Q.kernel is V4
 
 
 def test_quotient_extremes():
     Q = quotient(S4, trivial_group(4))
-    assert Q.image.order() == 24
+    assert Q.base is S4 and Q.kernel.is_trivial()
     Q = quotient(S4, S4)
-    assert Q.image.order() == 1
+    assert Q.base is S4 and Q.kernel is S4
 
 
 def test_quotient_rejects_non_normal():
@@ -221,36 +220,9 @@ def test_quotient_rejects_non_normal():
         quotient(S4, C4)
 
 
-def test_projection_is_a_homomorphism():
-    Q = quotient(S4, V4)
-    for a in S4.generators:
-        for b in S4.generators:
-            assert Q.project(a * b) == Q.project(a) * Q.project(b)
-
-
-def test_preimage():
-    Q = quotient(S4, V4)
-    assert same_subgroup(preimage(Q, trivial_group(Q.image.degree)), V4)
-    assert same_subgroup(preimage(Q, Q.image), S4)
-    third = commutator(Q.image, Q.image)
-    assert third.order() == 3
-    back = preimage(Q, third)
-    assert back.order() == 12
-    assert same_subgroup(back, A4)
-
-
-def test_quotient_preimage_round_trip():
-    Q = quotient(S4, V4)
-    for H in (V4, A4, D8, S4):
-        image = PermutationGroup(Q.image.degree,
-                                 [Q.project(h) for h in H.generators])
-        assert same_subgroup(preimage(Q, image), H)
-
-
-def test_section_lifts_into_base():
-    Q = quotient(S4, V4)
-    for x in Q.image.generators:
-        assert Q.project(Q.section(x)) == x
+def test_quotient_rejects_another_degree():
+    with pytest.raises(DegreeMismatch):
+        quotient(S4, trivial_group(5))
 
 
 def test_conjugacy_classes_partition():

@@ -1,13 +1,17 @@
+import math
+
 import pytest
 
-from psolv.errors import (NotPSolvable, PreconditionViolated,
+from psolv.catalog import DEFAULT_CATALOG, build_group
+from psolv.errors import (NotNormal, NotPSolvable, PreconditionViolated,
                           UnsupportedParameters)
 from psolv.filtrations import Filtration, compute_ekr
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
-from psolv.series import sylow
-from psolv.subgroups import power_subgroup, quotient, same_subgroup
+from psolv.series import gamma, o_pprime, o_pprime_p, sylow, upper_p_series
+from psolv.subgroups import power_subgroup, same_subgroup
 from psolv.theorems import (
+    _exponent_modulo,
     analyze_group,
     check_main_hypothesis,
     check_O24_inclusion,
@@ -112,6 +116,65 @@ def test_verify_thm6_sl23():
     assert v.parameters["core_order"] == 8
     assert v.parameters["exponent_of_quotient"] == 4
     assert v.parameters["exponent_of_image"] == 1
+
+
+def _least_power_in(x, N_elems):
+    m, y = 1, x
+    while y not in N_elems:
+        y, m = y * x, m + 1
+    return m
+
+
+def test_exponent_modulo_against_power_scan():
+    # the exponent of HN/N is the lcm over every element x of H of the
+    # least m with x^m in N; H = G mixes primes in the element orders
+    checked = 0
+    for gid in DEFAULT_CATALOG:
+        G = build_group(gid)
+        one = trivial_group(G.degree)
+        for p in (2, 3, 5):
+            if G.order() % p:
+                continue
+            P = sylow(G, p)
+            pairs = [(P, N) for N in (one, power_subgroup(P, p),
+                                      power_subgroup(P, p * p), gamma(P, 2),
+                                      o_pprime_p(G, p))]
+            pairs += [(G, N) for N in (one, o_pprime(G, p), o_pprime_p(G, p))]
+            for H, N in pairs:
+                N_elems = frozenset(N.elements())
+                want = math.lcm(*(_least_power_in(x, N_elems)
+                                  for x in H.elements()))
+                assert _exponent_modulo(H, N) == want, (gid, p, H.order(), N.order())
+                checked += 1
+    assert checked >= 200
+
+
+def test_exponent_modulo_needs_a_normalized_kernel():
+    with pytest.raises(NotNormal):
+        _exponent_modulo(S4, g(4, "(1 2)"))
+    with pytest.raises(NotNormal):
+        _exponent_modulo(D8, g(4, "(1 3)"))
+    # N need not lie in H, only be normalized by it
+    assert _exponent_modulo(g(4, "(1 2)"), V4) == 2
+
+
+@pytest.mark.parametrize("p, orders, length, exponents", [
+    (2, [1, 1, 64, 576, 1152], 2, (4, 2)),
+    (3, [1, 64, 576, 1152], 1, (3, 1)),
+])
+def test_two_length_two_tower_is_pinned(p, orders, length, exponents):
+    # (C2 wr C3) wr C2 on 12 points, order 1152: its 2-length is 2, so the
+    # upper 2-series lifts a p-step over a nontrivial term
+    G = g(12, "(1 2)", "(1 3 5)(2 4 6)",
+          "(1 7)(2 8)(3 9)(4 10)(5 11)(6 12)")
+    assert G.order() == 1152
+    rep = upper_p_series(G, p)
+    assert rep.orders() == orders
+    assert rep.is_p_solvable and rep.p_length == length
+    v = verify_main(G, p)
+    assert v.hypothesis_holds and v.conclusion_holds
+    assert (v.parameters["exponent_of_quotient"],
+            v.parameters["exponent_of_image"]) == exponents
 
 
 def test_verify_main_s3_at_p3():
