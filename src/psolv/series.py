@@ -15,6 +15,7 @@ from .errors import InternalMismatch, NotAPGroup, NotPSolvable, UnsupportedParam
 from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation
 from .subgroups import (
+    _normalizes,
     commutator,
     conjugacy_classes,
     conjugate_subgroup,
@@ -246,7 +247,7 @@ def _core_by_class_closures(G, p, want_p_group, N):
         part = _p_part(o, p)
         if not N.contains(x ** (part if want_p_group else o // part)):
             continue
-        closure = normal_closure(G, span(G.degree, list(N.generators) + [x]))
+        closure = normal_closure(G, PermutationGroup(G.degree, N.generators + (x,)))
         index = closure.order() // N.order()
         part = _p_part(index, p)
         if (index == part) if want_p_group else (part == 1):
@@ -257,14 +258,13 @@ def _core_by_class_closures(G, p, want_p_group, N):
 def _sylow_conjugates_intersection(G, p, N):
     # fixpoint of K -> K meet K^g over the generators g, from PN with P a
     # Sylow subgroup: the K >= N with K/N = O_p(G/N) lies in every K^g, so it
-    # survives each step, and the fixpoint is normalized by every generator
+    # survives each step; K is a fixpoint exactly when every generator
+    # normalizes it, which is tested without enumerating K
     K = sylow(G, p) if N.is_trivial() else join(sylow(G, p), N)
-    while K.order() > N.order():
+    while K.order() > N.order() and not _normalizes(G, K):
         L = K
         for g in G.generators:
             L = intersect(L, conjugate_subgroup(K, g))
-        if L.order() == K.order():
-            break
         K = L
     return K
 
