@@ -284,8 +284,9 @@ def o_p(G: PermutationGroup, p: int) -> PermutationGroup:
     """Largest normal p-subgroup, computed two ways and cross-checked.
 
     Route one starts at a Sylow p-subgroup and intersects it with its
-    conjugates by the generators of G until the order stops falling; route
-    two joins the normal closures of p-elements whose closure is a p-group.
+    conjugates by the generators of G until every generator normalizes it;
+    route two joins the normal closures of p-elements whose closure is a
+    p-group.
     Disagreement raises InternalMismatch.
     """
     require_prime(p)
