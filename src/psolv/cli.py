@@ -286,15 +286,16 @@ def _env_seed():
         return 0
 
 
-def _add_common(sub, group_source=True, prime=True):
+def _add_common(sub, group_source=True, prime=True, search_budget=False):
     if group_source:
         src = sub.add_mutually_exclusive_group(required=True)
         src.add_argument("--recipe", help="catalog recipe, e.g. dihedral:4")
         src.add_argument("--file", help="path to a group JSON document")
     if prime:
         sub.add_argument("--p", type=int, required=True, help="the prime")
-    sub.add_argument("--search-budget", type=int,
-                     default=DEFAULT_SEARCH_BUDGET)
+    if search_budget:
+        sub.add_argument("--search-budget", type=int,
+                         default=DEFAULT_SEARCH_BUDGET)
     sub.add_argument("--seed", type=int, default=_env_seed())
     sub.add_argument("--format", choices=("text", "structured"),
                      default="text")
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_pf_verify)
     sub = pf_sub.add_parser("search",
                             help="decide whether a subgroup starts a chain")
-    _add_common(sub)
+    _add_common(sub, search_budget=True)
     sub.add_argument("--ell", type=int, default=1)
     sub.add_argument("--normal", required=True, help="subgroup token")
     sub.set_defaults(handler=_cmd_pf_search)
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = commands.add_parser("scan", help="sweep a family of instances")
     scan_sub = scan.add_subparsers(dest="scan_command", required=True)
     sub = scan_sub.add_parser("question7")
-    _add_common(sub)
+    _add_common(sub, search_budget=True)
     sub.add_argument("--ell", type=int, default=1)
     sub.set_defaults(handler=_cmd_scan_question7)
 

@@ -103,9 +103,6 @@ class FpMatrix:
     def is_identity(self) -> bool:
         return self == FpMatrix.identity(self.p, self.nrows)
 
-    def to_payload(self):
-        return {"p": self.p, "rows": [list(r) for r in self.rows]}
-
 
 class LinearAction:
     """The conjugation action of a group G on an elementary abelian normal
@@ -190,12 +187,6 @@ class LinearAction:
                 "the acting element must belong to the base group")
         return FpMatrix(self.prime, tuple(
             self.coords(b.conjugate(g)) for b in self.basis))
-
-
-def action_matrix(Q: QuotientGroup, g: Permutation,
-                  p: int | None = None) -> FpMatrix:
-    """One-shot matrix of conjugation by g on the kernel of Q."""
-    return LinearAction(Q, p).matrix(g)
 
 
 def unipotency_degree(T: FpMatrix) -> int | None:

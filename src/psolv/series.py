@@ -11,7 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalMismatch, NotAPGroup, NotPSolvable, UnsupportedParameters
+from .errors import (
+    InternalMismatch,
+    NotAPGroup,
+    NotNormal,
+    NotPSolvable,
+    UnsupportedParameters,
+)
 from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation
 from .subgroups import (
@@ -20,6 +26,7 @@ from .subgroups import (
     conjugacy_classes,
     conjugate_subgroup,
     intersect,
+    is_subgroup,
     join,
     normal_closure,
     normalizer,
@@ -114,9 +121,33 @@ def nilpotency_class(G: PermutationGroup) -> int | None:
 
 @group_fact
 def exponent(G: PermutationGroup) -> int:
-    """Least common multiple of the element orders."""
-    classes = conjugacy_classes(G)
-    return math.lcm(*(cls[0].order() for cls in classes))
+    """Least common multiple of the element orders: the exponent of G
+    modulo the trivial group."""
+    return _exponent_modulo(G, trivial_group(G.degree))
+
+
+def _order_modulo(x: Permutation, N: PermutationGroup) -> int:
+    # the order of the coset xN, for x normalizing N: it divides o(x), so
+    # each prime q is stripped from o(x) while x^(m/q) stays in N
+    m = rest = x.order()
+    q = 2
+    while rest > 1:
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while m % q == 0 and N.contains(x ** (m // q)):
+                m //= q
+        q += 1
+    return m
+
+
+def _exponent_modulo(H: PermutationGroup, N: PermutationGroup) -> int:
+    """Exponent of HN/N, computed inside H without building the quotient:
+    the lcm of the orders of xN over H's class representatives x.
+    Raises NotNormal unless H normalizes N; N need not lie in H."""
+    if not _normalizes(H, N):
+        raise NotNormal("the group does not normalize the kernel")
+    return math.lcm(*(_order_modulo(cls[0], N) for cls in conjugacy_classes(H)))
 
 
 def _prime_power(n: int):
@@ -139,14 +170,7 @@ def _prime_power(n: int):
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_power(p) == (p, 1)
 
 
 def require_prime(p: int):
@@ -167,20 +191,16 @@ def check_p_group(G: PermutationGroup, p: int):
         raise NotAPGroup(f"group of order {G.order()} is not a {p}-group")
 
 
-def _p_part(n: int, p: int) -> int:
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
-
-
 def _p_valuation(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def _p_part(n: int, p: int) -> int:
+    return p ** _p_valuation(n, p)
 
 
 def element_p_part(x: Permutation, p: int) -> Permutation:
@@ -197,7 +217,7 @@ def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     other group the value is computed once per group object and prime.
     """
     require_prime(p)
-    if _p_part(G.order(), p) == G.order():
+    if is_p_group(G, p):
         return G
     return _grown_sylow(G, p)
 
@@ -236,16 +256,16 @@ def _core_by_class_closures(G, p, want_p_group, N):
     # the K >= N with K/N the p- or p'-core of G/N, N normal in G, found
     # inside G: the join of the closures N<x>^G over class representatives
     # x whose coset xN, and whose index |N<x>^G : N|, have the right order
-    # type; conjugate elements give the same closure, so one representative
-    # per class suffices, and N = 1 gives O_p(G) or O_p'(G)
+    # type (a power of p, or prime to p); conjugate elements give the same
+    # closure, so one representative per class suffices, and N = 1 gives
+    # O_p(G) or O_p'(G)
     K = N
     for cls in conjugacy_classes(G):
         x = cls[0]
         if K.contains(x):
             continue
-        o = x.order()
-        part = _p_part(o, p)
-        if not N.contains(x ** (part if want_p_group else o // part)):
+        o = _order_modulo(x, N)
+        if (_p_part(o, p) != o) if want_p_group else (o % p == 0):
             continue
         closure = normal_closure(G, PermutationGroup(G.degree, N.generators + (x,)))
         index = closure.order() // N.order()
@@ -301,35 +321,42 @@ def o_pprime(G: PermutationGroup, p: int) -> PermutationGroup:
     return _core_by_class_closures(G, p, False, trivial_group(G.degree))
 
 
+def _core_modulo(G: PermutationGroup, p: int, kind: str,
+                 N: PermutationGroup) -> PermutationGroup:
+    # the K >= N with K/N the p'-core (kind "p'") or the p-core (kind "p")
+    # of G/N, N normal in G; over N = 1 it is the cached O_p'(G) or O_p(G)
+    if N.is_trivial():
+        return (o_pprime if kind == "p'" else o_p)(G, p)
+    if kind == "p'":
+        return _core_by_class_closures(G, p, False, N)
+    return _p_core_modulo(G, p, N)
+
+
 @group_fact
 def upper_p_series(G: PermutationGroup, p: int) -> SeriesReport:
     """Alternating p'-core / p-core series, computed inside G.
 
     Starts at 1; each term K over the term N below has K/N the p'- or
     p-core of G/N, found from G's conjugacy classes without building G/N
-    (every p-step cross-checks its two routes, as o_p does). It stops when
-    the whole group is reached (p-solvable) or a full p'/p round makes no
-    progress (not p-solvable; legal input, not an error).
+    (every p-step cross-checks its two routes, as o_p does). Each term must
+    contain the one below it, or InternalMismatch is raised, so the terms
+    grow strictly until they stop. The series ends when the whole group is
+    reached (p-solvable) or a full p'/p round makes no progress (not
+    p-solvable; legal input, not an error).
     """
     require_prime(p)
-    terms = [("1", trivial_group(G.degree))]
-    current = terms[0][1]
+    current = trivial_group(G.degree)
+    terms = [("1", current)]
     p_steps_grown = 0
     solvable = None
     whole = G.order()
-
-    def lift(kind):
-        # the core of G/current, taken back into G; over 1 it is the cached core
-        if current.order() == 1:
-            return (o_pprime if kind == "p'" else o_p)(G, p)
-        if kind == "p'":
-            return _core_by_class_closures(G, p, False, current)
-        return _p_core_modulo(G, p, current)
-
-    while True:
+    while solvable is None:
         grew_round = False
         for kind in ("p'", "p"):
-            nxt = lift(kind)
+            nxt = _core_modulo(G, p, kind, current)
+            if not is_subgroup(current, nxt):
+                raise InternalMismatch(
+                    f"the {kind}-term does not contain the term below it")
             grew = nxt.order() > current.order()
             grew_round = grew_round or grew
             if kind == "p" and grew:
@@ -339,11 +366,9 @@ def upper_p_series(G: PermutationGroup, p: int) -> SeriesReport:
             if current.order() == whole:
                 solvable = True
                 break
-        if solvable is not None:
-            break
-        if not grew_round:
-            solvable = False
-            break
+        else:
+            if not grew_round:
+                solvable = False
     return SeriesReport(kind="upper_p", terms=tuple(terms), prime=p,
                         p_length=p_steps_grown, is_p_solvable=solvable)
 

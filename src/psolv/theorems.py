@@ -5,13 +5,15 @@ statement's premise was established on the given instance; conclusion_holds
 is only filled in when it was. A verdict with a true hypothesis, a false
 conclusion and report_only unset contradicts a proved statement, which is
 exactly what the test battery hunts for.
+
+Nothing here computes modulo a normal subgroup: exponents of quotients and
+relative cores come from series (_exponent_modulo, _core_modulo), so each
+such fact has one implementation and shares G's cached cores.
 """
 
 from __future__ import annotations
 
-import math
-
-from .errors import InternalMismatch, NotNormal, NotPSolvable, PreconditionViolated
+from .errors import InternalMismatch, NotPSolvable, PreconditionViolated
 from .filtrations import (
     DEFAULT_SEARCH_BUDGET,
     Filtration,
@@ -23,7 +25,8 @@ from .filtrations import (
 )
 from .group import PermutationGroup
 from .series import (
-    _core_by_class_closures,
+    _core_modulo,
+    _exponent_modulo,
     _p_valuation,
     check_p_group,
     exponent,
@@ -40,9 +43,7 @@ from .series import (
 )
 from .subgroups import (
     _first_outside,
-    _normalizes,
     commutator,
-    conjugacy_classes,
     is_normal,
     is_subgroup,
     iterated_commutator,
@@ -56,6 +57,12 @@ from .verdicts import Verdict
 CORE_ORDER_NOTE = ("containment is tested against the p'-core-then-p-core "
                    "term; the swapped ordering (p-core first) is recorded "
                    "alongside because the two are easy to conflate")
+
+
+def _outside(label, A, B):
+    """() when A <= B, else ((label, w),) with w a generator of A outside B."""
+    w = _first_outside(A, B)
+    return () if w is None else ((label, w),)
 
 
 def check_main_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
@@ -122,7 +129,6 @@ def check_thm6_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
     m = ell * (p - 1)
     lhs = gamma(P, m)
     E = compute_ekr(P, p, m + 1, 1)
-    holds = is_subgroup(lhs, E)
     params = {
         "p": p,
         "ell": ell,
@@ -130,11 +136,9 @@ def check_thm6_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
         "lhs_order": lhs.order(),
         "ekr_order": E.order(),
     }
-    witnesses = ()
-    if not holds:
-        witnesses = (("generator of the left side outside the product "
-                      "subgroup", _first_outside(lhs, E)),)
-    return Verdict("thm6-hypothesis", holds, None, params, witnesses)
+    witnesses = _outside("generator of the left side outside the product "
+                         "subgroup", lhs, E)
+    return Verdict("thm6-hypothesis", not witnesses, None, params, witnesses)
 
 
 def _minimal_ell(P: PermutationGroup, p: int, thm6_only: bool):
@@ -149,29 +153,6 @@ def _minimal_ell(P: PermutationGroup, p: int, thm6_only: bool):
             return ell, main_v, thm6_v
     raise InternalMismatch("the minimal-type scan passed the bound at which "
                            "the hypothesis must hold")
-
-
-def _exponent_modulo(H: PermutationGroup, N: PermutationGroup) -> int:
-    """Exponent of HN/N, computed inside H: the lcm over H's class
-    representatives x of the least m with x^m in N. The order of xN divides
-    o(x), so each prime q is stripped from o(x) while x^(m/q) stays in N.
-    Raises NotNormal unless H normalizes N."""
-    if not _normalizes(H, N):
-        raise NotNormal("the group does not normalize the kernel")
-    exp = 1
-    for cls in conjugacy_classes(H):
-        x = cls[0]
-        m = rest = x.order()
-        q = 2
-        while rest > 1:
-            if rest % q == 0:
-                while rest % q == 0:
-                    rest //= q
-                while m % q == 0 and N.contains(x ** (m // q)):
-                    m //= q
-            q += 1
-        exp = math.lcm(exp, m)
-    return exp
 
 
 def _verify_length_links(G, p, P, ell, params, witnesses):
@@ -190,22 +171,21 @@ def _verify_length_links(G, p, P, ell, params, witnesses):
     Ep2 = power_subgroup(E, p * p)
     core = o_pprime_p(G, p)
 
-    link_core = is_subgroup(Ep2, core)
-    if not link_core:
-        witnesses.append(("generator of E^(p^2) outside the p'-then-p core",
-                          _first_outside(Ep2, core)))
+    core_witnesses = _outside("generator of E^(p^2) outside the p'-then-p "
+                              "core", Ep2, core)
+    link_core = not core_witnesses
+    witnesses.extend(core_witnesses)
 
     bound = p ** (ell + 1)
     exp_quot = _exponent_modulo(P, Ep2)
     by_exponent = bound % exp_quot == 0
-    by_powers = is_subgroup(power_subgroup(P, bound), Ep2)
-    if by_exponent != by_powers:
+    power_witnesses = _outside("P^(p^(ell+1)) escapes E^(p^2)",
+                               power_subgroup(P, bound), Ep2)
+    if by_exponent == bool(power_witnesses):
         raise InternalMismatch("the exponent route and the power-subgroup "
                                "route disagree on the quotient bound")
     link_exponent = by_exponent
-    if not link_exponent:
-        witnesses.append(("P^(p^(ell+1)) escapes E^(p^2)",
-                          _first_outside(power_subgroup(P, bound), Ep2)))
+    witnesses.extend(power_witnesses)
 
     exp_image = _exponent_modulo(P, core)
     link_restriction = exp_quot % exp_image == 0
@@ -328,12 +308,8 @@ def verify_prop3(G: PermutationGroup, p: int, N: PermutationGroup,
     }
     if not pf.valid:
         return Verdict("prop3", False, None, params)
-    concl = is_subgroup(N, core)
-    witnesses = ()
-    if not concl:
-        witnesses = (("generator of the subgroup outside the core",
-                      _first_outside(N, core)),)
-    return Verdict("prop3", True, concl, params, witnesses)
+    witnesses = _outside("generator of the subgroup outside the core", N, core)
+    return Verdict("prop3", True, not witnesses, params, witnesses)
 
 
 def verify_prop4(G: PermutationGroup, p: int, N: PermutationGroup,
@@ -366,12 +342,8 @@ def verify_prop4(G: PermutationGroup, p: int, N: PermutationGroup,
     }
     if not pf.valid:
         return Verdict("prop4", False, None, params)
-    concl = is_subgroup(tested, core)
-    witnesses = ()
-    if not concl:
-        witnesses = ((f"generator of {label} outside the core",
-                      _first_outside(tested, core)),)
-    return Verdict("prop4", True, concl, params, witnesses)
+    witnesses = _outside(f"generator of {label} outside the core", tested, core)
+    return Verdict("prop4", True, not witnesses, params, witnesses)
 
 
 def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
@@ -400,12 +372,8 @@ def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
     }
     if not hyp:
         return Verdict("lemma8", False, None, params)
-    concl = is_subgroup(N, P0)
-    witnesses = ()
-    if not concl:
-        witnesses = (("generator of N outside the p-core",
-                      _first_outside(N, P0)),)
-    return Verdict("lemma8", True, concl, params, witnesses)
+    witnesses = _outside("generator of N outside the p-core", N, P0)
+    return Verdict("lemma8", True, not witnesses, params, witnesses)
 
 
 def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
@@ -435,7 +403,6 @@ def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
         piece = power_subgroup(folded, p ** (t - i))
         piece_orders.append((f"[V,{p ** i} steps of M]", t - i, piece.order()))
         rhs = join(rhs, piece)
-    concl = is_subgroup(lhs, rhs)
     params = {
         "p": p,
         "r": r,
@@ -446,11 +413,9 @@ def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
         "rhs_order": rhs.order(),
         "pieces": [[name, power, order] for name, power, order in piece_orders],
     }
-    witnesses = ()
-    if not concl:
-        witnesses = (("generator of the left side outside the product",
-                      _first_outside(lhs, rhs)),)
-    return Verdict("o24", True, concl, params, witnesses)
+    witnesses = _outside("generator of the left side outside the product",
+                         lhs, rhs)
+    return Verdict("o24", True, not witnesses, params, witnesses)
 
 
 def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
@@ -482,7 +447,7 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
                         report_only=True)]
     normals = normal_subgroups(P)
     core = o_pprime_p(G, p)
-    swapped = _core_by_class_closures(G, p, False, o_p(G, p))
+    swapped = _core_modulo(G, p, "p'", o_p(G, p))
 
     out = []
     for N in normals:
@@ -497,14 +462,11 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
             continue
         if res.status != SearchOutcome.FOUND:
             continue
-        in_core = is_subgroup(N, core)
+        witnesses = _outside("embedded subgroup escapes the core", N, core)
+        in_core = not witnesses
         params["in_core"] = in_core
         params["in_swapped_core"] = is_subgroup(N, swapped)
         params["chain_orders"] = res.filtration.orders()
-        witnesses = ()
-        if not in_core:
-            witnesses = (("embedded subgroup escapes the core",
-                          _first_outside(N, core)),)
         out.append(Verdict("question7", True, in_core, params, witnesses,
                            (CORE_ORDER_NOTE,), report_only=True))
     return out

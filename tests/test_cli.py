@@ -193,6 +193,17 @@ def test_cap_flags_are_gone(capsys):
     assert "unrecognized arguments: --enum-cap" in err
 
 
+def test_search_budget_only_where_a_search_runs(capsys):
+    code, out, err = run(capsys, "analyze", "--search-budget", "5",
+                         "--recipe", "symmetric:4", "--p", "2")
+    assert code == 1
+    assert "unrecognized arguments: --search-budget" in err
+    code, out, err = run(capsys, "pf", "search", "--recipe", "dihedral:4",
+                         "--p", "2", "--normal", "full", "--search-budget", "5")
+    assert code == 0
+    assert "nodes" in out
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--file",
                          str(tmp_path / "no.json"), "--p", "2")

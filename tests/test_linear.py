@@ -7,7 +7,6 @@ from psolv.group import PermutationGroup
 from psolv.linear import (
     FpMatrix,
     LinearAction,
-    action_matrix,
     unipotency_degree,
 )
 from psolv.perm import parse_cycles
@@ -64,11 +63,6 @@ def test_action_on_s4_mod_v4():
     assert (T ** 3).is_identity()
     assert (T ** 2) != FpMatrix.identity(2, 2)
     assert unipotency_degree(T) is None
-
-
-def test_action_matrix_convenience():
-    T = action_matrix(quotient(S4, V4), parse_cycles("(1 2 3)", 4))
-    assert (T ** 3).is_identity()
 
 
 def test_kernel_elements_act_trivially():

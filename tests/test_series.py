@@ -185,6 +185,35 @@ def test_relative_p_core_routes_are_cross_checked(monkeypatch):
     assert seen == [1, 12]
 
 
+def test_core_modulo_over_one_is_the_cached_core():
+    from psolv.series import _core_modulo
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    one = trivial_group(G.degree)
+    for p in (2, 3):
+        assert _core_modulo(G, p, "p", one) is o_p(G, p)
+        assert _core_modulo(G, p, "p'", one) is o_pprime(G, p)
+
+
+def test_upper_series_rejects_a_term_missing_the_one_below(monkeypatch):
+    import psolv.series
+    real = psolv.series._core_by_class_closures
+    wrong = []
+
+    def once_wrong(G, p, want_p_group, N):
+        # the first p'-step over N != 1 forgets N; every later call is right
+        if not want_p_group and not N.is_trivial() and not wrong:
+            wrong.append(N.order())
+            return trivial_group(G.degree)
+        return real(G, p, want_p_group, N)
+
+    monkeypatch.setattr(psolv.series, "_core_by_class_closures", once_wrong)
+    # a fresh S4 at p = 2: 1, 1, V4, then the p'-step over V4 is wrong
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    with pytest.raises(InternalMismatch):
+        upper_p_series(G, 2)
+    assert wrong == [4]
+
+
 def test_o_pprime():
     assert o_pprime(S3, 2).order() == 3
     assert o_pprime(D8, 2).is_trivial()

@@ -8,10 +8,18 @@ from psolv.errors import (NotNormal, NotPSolvable, PreconditionViolated,
 from psolv.filtrations import Filtration, compute_ekr
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
-from psolv.series import gamma, o_pprime, o_pprime_p, sylow, upper_p_series
+from psolv.series import (
+    _exponent_modulo,
+    _order_modulo,
+    gamma,
+    o_p,
+    o_pprime,
+    o_pprime_p,
+    sylow,
+    upper_p_series,
+)
 from psolv.subgroups import power_subgroup, same_subgroup
 from psolv.theorems import (
-    _exponent_modulo,
     analyze_group,
     check_main_hypothesis,
     check_O24_inclusion,
@@ -126,8 +134,9 @@ def _least_power_in(x, N_elems):
 
 
 def test_exponent_modulo_against_power_scan():
-    # the exponent of HN/N is the lcm over every element x of H of the
-    # least m with x^m in N; H = G mixes primes in the element orders
+    # the order of xN is the least m with x^m in N, and the exponent of
+    # HN/N is their lcm over every element x of H; H = G mixes primes in
+    # the element orders
     checked = 0
     for gid in DEFAULT_CATALOG:
         G = build_group(gid)
@@ -142,9 +151,10 @@ def test_exponent_modulo_against_power_scan():
             pairs += [(G, N) for N in (one, o_pprime(G, p), o_pprime_p(G, p))]
             for H, N in pairs:
                 N_elems = frozenset(N.elements())
-                want = math.lcm(*(_least_power_in(x, N_elems)
-                                  for x in H.elements()))
-                assert _exponent_modulo(H, N) == want, (gid, p, H.order(), N.order())
+                want = [_least_power_in(x, N_elems) for x in H.elements()]
+                where = (gid, p, H.order(), N.order())
+                assert [_order_modulo(x, N) for x in H.elements()] == want, where
+                assert _exponent_modulo(H, N) == math.lcm(*want), where
                 checked += 1
     assert checked >= 200
 
@@ -329,6 +339,26 @@ def test_question7_s4():
     assert sorted(v.parameters["n_order"] for v in out) == [1, 2]
     assert all(v.parameters["in_core"] for v in out)
     assert all(v.parameters["in_swapped_core"] for v in out)
+
+
+def test_question7_reuses_the_cached_cores(monkeypatch):
+    # O_2(S3) = 1, so the swapped core is the cached O_2'(S3): once the
+    # upper series and O_2 are known, the scan needs no new normal closure
+    import psolv.series
+    real = psolv.series.normal_closure
+    calls = []
+
+    def counted(G, S):
+        calls.append(S.order())
+        return real(G, S)
+
+    G = g(3, "(1 2)", "(1 2 3)")
+    upper_p_series(G, 2)
+    assert o_p(G, 2).is_trivial()
+    monkeypatch.setattr(psolv.series, "normal_closure", counted)
+    out = question7_scan(G, 2)
+    assert out
+    assert calls == []
 
 
 def test_question7_skips_non_solvable():
