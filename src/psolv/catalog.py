@@ -22,6 +22,11 @@ from .series import exponent, require_prime
 TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA = "psolv-report/1"
 
+# the most points a recipe or a group document may act on, checked before
+# anything is built: one stabilizer-chain level stores up to `degree`
+# transversal tuples of `degree` points each
+MAX_DEGREE = 256
+
 
 def _cycle_images(n):
     return tuple((i + 1) % n for i in range(n))
@@ -233,6 +238,19 @@ _ORDER_CHECKS = {
     "affine": lambda p: p * (p - 1),
 }
 
+_DEGREES = {
+    "cyclic": lambda n: n,
+    "elementary_abelian": lambda p, k: p * k,
+    "dihedral": lambda n: n,
+    "symmetric": lambda n: n,
+    "alternating": lambda n: n,
+    "sl2": lambda q: q * q - 1,
+    "gl2": lambda q: q * q - 1,
+    "affine": lambda p: p,
+    "extraspecial": lambda p, sign: p ** 3,
+    "wreath_cyclic": lambda p, q: p * q,
+}
+
 _BUILDERS = {
     "cyclic": (_cyclic, (int,)),
     "elementary_abelian": (_elementary_abelian, (int, int)),
@@ -317,8 +335,21 @@ def canonical_recipe(text: str) -> str:
     return render(parse_recipe(text))
 
 
+def _degree(node) -> int:
+    # the number of points the recipe acts on, read without building it
+    kind, args = node
+    if kind == "product":
+        return _degree(args[0]) + _degree(args[1])
+    return _DEGREES[kind](*args)
+
+
 def _build(node) -> PermutationGroup:
     kind, args = node
+    degree = _degree(node)
+    if degree > MAX_DEGREE:
+        raise GroupParseError(
+            f"the recipe acts on {degree} points, more than the limit of "
+            f"{MAX_DEGREE}", location=kind)
     if kind == "product":
         return _product(_build(args[0]), _build(args[1]))
     builder, _ = _BUILDERS[kind]
@@ -396,6 +427,10 @@ def parse_group(text: str) -> PermutationGroup:
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise GroupParseError("degree must be a positive integer",
                               location="degree")
+    if degree > MAX_DEGREE:
+        raise GroupParseError(
+            f"degree {degree} is more than the limit of {MAX_DEGREE} points",
+            location="degree")
     gens_doc = doc.get("generators")
     if not isinstance(gens_doc, list):
         raise GroupParseError("generators must be a list", location="generators")

@@ -21,6 +21,7 @@ from .errors import (
 from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation
 from .subgroups import (
+    _normal_closure_steps,
     _normalizes,
     commutator,
     conjugacy_classes,
@@ -28,7 +29,6 @@ from .subgroups import (
     intersect,
     is_subgroup,
     join,
-    normal_closure,
     normalizer,
     same_subgroup,
 )
@@ -258,7 +258,10 @@ def _core_by_class_closures(G, p, want_p_group, N):
     # x whose coset xN, and whose index |N<x>^G : N|, have the right order
     # type (a power of p, or prime to p); conjugate elements give the same
     # closure, so one representative per class suffices, and N = 1 gives
-    # O_p(G) or O_p'(G)
+    # O_p(G) or O_p'(G). The index of each subgroup the closure grows
+    # through divides the final index, so a closure is dropped at the
+    # first one whose index already has the wrong type (a prime other
+    # than p, or p); an accepted closure runs to the end
     K = N
     for cls in conjugacy_classes(G):
         x = cls[0]
@@ -267,10 +270,13 @@ def _core_by_class_closures(G, p, want_p_group, N):
         o = _order_modulo(x, N)
         if (_p_part(o, p) != o) if want_p_group else (o % p == 0):
             continue
-        closure = normal_closure(G, PermutationGroup(G.degree, N.generators + (x,)))
-        index = closure.order() // N.order()
-        part = _p_part(index, p)
-        if (index == part) if want_p_group else (part == 1):
+        for closure in _normal_closure_steps(
+                G, PermutationGroup(G.degree, N.generators + (x,))):
+            index = closure.order() // N.order()
+            part = _p_part(index, p)
+            if (index != part) if want_p_group else (part != 1):
+                break
+        else:
             K = join(K, closure)
     return K
 

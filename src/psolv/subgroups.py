@@ -8,6 +8,7 @@ mutual generator membership, never equal generator lists.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
@@ -75,16 +76,18 @@ def join(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     return PermutationGroup(A.degree, gens)
 
 
-def normal_closure(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
-    """Smallest subgroup of G containing S and normal in G.
+def _normal_closure_steps(G: PermutationGroup, S: PermutationGroup):
+    """Yield each subgroup the normal closure of S in G grows through.
 
-    Conjugates of the working generators by the generators of G are added
-    until nothing new appears; at the fixpoint the result is closed under
-    conjugation by all of G.
+    The first is <S>; each later one adds a conjugate, by a generator of
+    G, of a working generator that the one before lacks, and the last is
+    the normal closure itself. Each is a subgroup of the next, so a
+    caller may stop as soon as one shows the closure will not do.
     """
     _check_degrees(G, S)
     gens = [g for g in S.generators if not g.is_identity()]
     K = PermutationGroup(G.degree, gens)
+    yield K
     queue = deque(gens)
     while queue:
         x = queue.popleft()
@@ -94,6 +97,18 @@ def normal_closure(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup
                 gens.append(y)
                 K = PermutationGroup(G.degree, gens)
                 queue.append(y)
+                yield K
+
+
+def normal_closure(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
+    """Smallest subgroup of G containing S and normal in G.
+
+    Conjugates of the working generators by the generators of G are added
+    until nothing new appears (_normal_closure_steps); at the fixpoint the
+    result is closed under conjugation by all of G.
+    """
+    for K in _normal_closure_steps(G, S):
+        pass
     return K
 
 
@@ -142,42 +157,53 @@ def _conjugate_images(y: Permutation, g: Permutation, g_inv: Permutation) -> tup
     return tuple(gi[yi[w]] for w in g_inv.images)
 
 
+@group_fact
+def _conjugation_action(G: PermutationGroup) -> tuple:
+    # one array per generator g of G: entry i is the position in
+    # G.elements() of g^-1 * x * g, for x the element at position i
+    els = G.elements()
+    positions = _element_positions(G)
+    maps = []
+    for g in G.generators:
+        g_inv = g.inverse()
+        maps.append(array("i", [positions[_conjugate_images(x, g, g_inv)] for x in els]))
+    return tuple(maps)
+
+
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """N_G(H) as the stabilizer of H in G's conjugation action. H <= G.
 
     The conjugates of H are walked breadth-first from H under the
     generators of G, each keyed by the sorted positions of its elements in
     G.elements() (a key that grows with |H|, not with |G|) and reached by
-    a transversal element u with H^u that conjugate. A conjugate reached
-    again by w, first reached by v, gives the Schreier generator
-    w * v^-1 of N_G(H); it is kept only when it lies outside the group
-    built so far, which starts at H (Schreier's lemma; Sims 1970). The
-    result is checked by orbit-stabilizer, |N| * |orbit| == |G|, and a
+    a transversal element u with H^u that conjugate. The key of H^(u*g) is
+    read from the key of H^u through G's cached conjugation action on
+    positions, so no element of H is conjugated after the first key. A
+    conjugate reached again by w, first reached by v, gives the Schreier
+    generator w * v^-1 of N_G(H); it is kept only when it lies outside the
+    group built so far, which starts at H (Schreier's lemma; Sims 1970).
+    The result is checked by orbit-stabilizer, |N| * |orbit| == |G|, and a
     mismatch raises InternalMismatch. Raises ValueError unless H <= G.
     """
     if not is_subgroup(H, G):
         raise ValueError("subgroup is not contained in the group")
     positions = _element_positions(G)
-    hels = H.elements()
-
-    def conjugate_key(u):
-        u_inv = u.inverse()
-        return tuple(sorted(positions[_conjugate_images(h, u, u_inv)] for h in hels))
-
+    moves = tuple(zip(G.generators, _conjugation_action(G)))
     ngens = list(H.generators)
     N = H
     e = identity(G.degree)
-    orbit = {conjugate_key(e): e}
-    queue = deque([e])
+    key = tuple(sorted(positions[h.images] for h in H.elements()))
+    orbit = {key: e}
+    queue = deque([(e, key)])
     while queue:
-        u = queue.popleft()
-        for g in G.generators:
+        u, key = queue.popleft()
+        for g, c in moves:
             w = u * g
-            key = conjugate_key(w)
-            v = orbit.get(key)
+            wkey = tuple(sorted([c[i] for i in key]))
+            v = orbit.get(wkey)
             if v is None:
-                orbit[key] = w
-                queue.append(w)
+                orbit[wkey] = w
+                queue.append((w, wkey))
                 continue
             s = w * v.inverse()
             if not N.contains(s):
@@ -233,28 +259,29 @@ def quotient(G: PermutationGroup, N: PermutationGroup) -> QuotientGroup:
 def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
     """Conjugacy classes as a tuple of tuples of the objects in G.elements().
 
-    Each class is headed by its first element in enumeration order and
-    lists the rest in the order conjugation by the generators reaches
-    them. Cached on G; the classes hold G's own element objects, so the
-    cache keeps no second copy of the group.
+    The classes are the orbits of G's cached conjugation action on element
+    positions, walked from the first unseen position. Each class is headed
+    by its first element in enumeration order and lists the rest in the
+    order conjugation by the generators reaches them. Cached on G; the
+    classes hold G's own element objects, so the cache keeps no second
+    copy of the group.
     """
     els = G.elements()
-    positions = _element_positions(G)
-    gens = [(g, g.inverse()) for g in G.generators]
+    maps = _conjugation_action(G)
     seen = bytearray(len(els))
     classes = []
-    for i, x in enumerate(els):
+    for i in range(len(els)):
         if seen[i]:
             continue
         seen[i] = 1
-        cls = [x]
-        for y in cls:
-            for g, g_inv in gens:
-                j = positions[_conjugate_images(y, g, g_inv)]
-                if not seen[j]:
-                    seen[j] = 1
-                    cls.append(els[j])
-        classes.append(tuple(cls))
+        cls = [i]
+        for j in cls:
+            for c in maps:
+                k = c[j]
+                if not seen[k]:
+                    seen[k] = 1
+                    cls.append(k)
+        classes.append(tuple(els[j] for j in cls))
     return tuple(classes)
 
 

@@ -7,6 +7,7 @@ import pytest
 from psolv.battery import run_catalog
 from psolv.catalog import (
     DEFAULT_CATALOG,
+    MAX_DEGREE,
     REPORT_SCHEMA,
     TOOL_VERSION,
     Report,
@@ -120,6 +121,40 @@ def test_building_leaves_no_reference_cycle():
 def test_bad_recipes(bad):
     with pytest.raises(GroupParseError):
         build_group(bad)
+
+
+@pytest.mark.parametrize("recipe, degree", [
+    ("cyclic:100000", 100000),
+    ("symmetric:257", 257),
+    ("extraspecial:7:plus", 343),
+    # a product counts the sum of its factors' degrees
+    ("product(cyclic:200,dihedral:100)", 300),
+    ("product(cyclic:2,product(cyclic:128,cyclic:127))", 257),
+])
+def test_recipe_degree_ceiling_before_building(recipe, degree, monkeypatch):
+    import psolv.catalog
+
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(psolv.catalog, "PermutationGroup", refuse)
+    with pytest.raises(GroupParseError) as e:
+        build_group(recipe)
+    assert str(degree) in str(e.value)
+
+
+def test_degree_ceiling_admits_the_catalog():
+    assert MAX_DEGREE >= 125
+    assert build_group("extraspecial:5:plus").degree == 125
+    assert build_group("product(cyclic:128,cyclic:128)").degree == MAX_DEGREE
+
+
+def test_group_document_degree_ceiling():
+    with pytest.raises(GroupParseError) as e:
+        parse_group(json.dumps({"degree": 100000, "generators": []}))
+    assert e.value.location == "degree"
+    assert parse_group(json.dumps({"degree": MAX_DEGREE,
+                                   "generators": []})).degree == MAX_DEGREE
 
 
 def test_group_document_round_trip():

@@ -211,6 +211,20 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "error" in err
 
 
+def test_oversized_degree_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", "--recipe", "cyclic:100000",
+                         "--p", "2")
+    assert code == 1
+    assert err.startswith("psolv: error:")
+    assert "100000" in err
+    doc = tmp_path / "big.json"
+    doc.write_text('{"degree": 100000, "generators": []}')
+    code, out, err = run(capsys, "analyze", "--file", str(doc), "--p", "2")
+    assert code == 1
+    assert err.startswith("psolv: error:")
+    assert "degree" in err
+
+
 def test_bad_group_document_reports_location(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text('{"degree": 3, "generators": [[0, 1]]}')

@@ -185,6 +185,41 @@ def test_relative_p_core_routes_are_cross_checked(monkeypatch):
     assert seen == [1, 12]
 
 
+def test_class_closures_stop_at_the_first_wrong_prime(monkeypatch):
+    # on S6 at p = 2 the class closures for O_2' and O_2 grow towards A6
+    # and S6 and are rejected; dropping each at the first subgroup whose
+    # index has the wrong type builds fewer stabilizer chains than running
+    # it to the end, and gives the same cores with the same generators
+    import psolv.group
+    import psolv.series
+    from psolv.subgroups import normal_closure
+    builds = []
+
+    class CountedChain(psolv.group.StabilizerChain):
+        def __init__(self, degree, generators):
+            builds.append(degree)
+            super().__init__(degree, generators)
+
+    monkeypatch.setattr(psolv.group, "StabilizerChain", CountedChain)
+
+    def cores():
+        G = build_group("symmetric:6")
+        G.elements()
+        out = []
+        for core in (o_pprime, o_p):
+            builds.clear()
+            out.append((core(G, 2).generators, len(builds)))
+        return out
+
+    early = cores()
+    monkeypatch.setattr(psolv.series, "_normal_closure_steps",
+                        lambda G, S: iter([normal_closure(G, S)]))
+    full = cores()
+    for (gens, n), (full_gens, full_n) in zip(early, full):
+        assert gens == full_gens
+        assert n < full_n
+
+
 def test_core_modulo_over_one_is_the_cached_core():
     from psolv.series import _core_modulo
     G = g(4, "(1 2)", "(1 2 3 4)")

@@ -5,6 +5,7 @@ from psolv.errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNorma
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.subgroups import (
+    _conjugation_action,
     centralizer,
     commutator,
     conjugacy_classes,
@@ -248,6 +249,23 @@ def test_conjugacy_classes_are_the_group_elements(G):
     els = elements_of(G)
     for cls in classes:
         assert frozenset(cls) == conjugacy_class_of(els, cls[0])
+
+
+@pytest.mark.parametrize("G", [S4, D8, build_group("wreath_cyclic:2:3")])
+def test_conjugation_action_on_positions(G):
+    els = G.elements()
+    oracle_els = elements_of(G)
+    assert frozenset(els) == oracle_els
+    maps = _conjugation_action(G)
+    assert maps is _conjugation_action(G)
+    assert len(maps) == len(G.generators)
+    for g_, c in zip(G.generators, maps):
+        # a permutation of the positions, sending x to g^-1 * x * g
+        assert sorted(c) == list(range(len(els)))
+        assert all(els[c[i]] == x.conjugate(g_) for i, x in enumerate(els))
+    # the orbits of the maps are the conjugacy classes
+    for cls in conjugacy_classes(G):
+        assert frozenset(cls) == conjugacy_class_of(oracle_els, cls[0])
 
 
 @pytest.mark.parametrize("G, count", [

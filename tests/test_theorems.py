@@ -344,8 +344,9 @@ def test_question7_s4():
 def test_question7_reuses_the_cached_cores(monkeypatch):
     # O_2(S3) = 1, so the swapped core is the cached O_2'(S3): once the
     # upper series and O_2 are known, the scan needs no new normal closure
+    # (series grows every class closure through _normal_closure_steps)
     import psolv.series
-    real = psolv.series.normal_closure
+    real = psolv.series._normal_closure_steps
     calls = []
 
     def counted(G, S):
@@ -355,7 +356,7 @@ def test_question7_reuses_the_cached_cores(monkeypatch):
     G = g(3, "(1 2)", "(1 2 3)")
     upper_p_series(G, 2)
     assert o_p(G, 2).is_trivial()
-    monkeypatch.setattr(psolv.series, "normal_closure", counted)
+    monkeypatch.setattr(psolv.series, "_normal_closure_steps", counted)
     out = question7_scan(G, 2)
     assert out
     assert calls == []
