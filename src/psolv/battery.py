@@ -16,8 +16,8 @@ from .filtrations import (
     SearchOutcome,
     check_prop1,
     ekr_pf_candidates,
+    exhaustive_lattice,
     pf_embedded_search,
-    search_order_limit,
 )
 from .linear import FpMatrix, LinearAction, unipotency_degree
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
@@ -82,12 +82,7 @@ def battery_for_group(G, gid: str, p: int, seed: int):
     verdicts.append(hall_higman_bound(G, p))
 
     P = sylow(G, p)
-    normals_P = None
-    if P.order() <= search_order_limit(p):
-        try:
-            normals_P = normal_subgroups(P)
-        except CapExceeded:
-            normals_P = None
+    normals_P, _ = exhaustive_lattice(P, p)
 
     # collect verified chains from the canonical candidates and the searches,
     # then re-derive each one's consequences
@@ -143,12 +138,7 @@ def battery_for_group(G, gid: str, p: int, seed: int):
         if v is not None:
             verdicts.append(v)
 
-    if normals_P is not None:
-        verdicts.extend(question7_scan(G, p, 1))
-    else:
-        verdicts.append(_skip("question7", p, G,
-                              "the Sylow subgroup is too large for the "
-                              "exhaustive search"))
+    verdicts.extend(question7_scan(G, p, 1))
 
     return [Report(TOOL_VERSION, gid, v.statement, v.to_payload())
             for v in verdicts]

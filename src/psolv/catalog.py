@@ -2,9 +2,11 @@
 
 A recipe is a colon-separated constructor like "dihedral:4" or
 "extraspecial:3:plus", plus the functional form "product(a,b)" for direct
-products. Recipe text doubles as the group's id in reports. Every builder
-re-checks facts the construction is supposed to guarantee (order, exponent,
-involution counts) and raises InternalMismatch when a table is wrong, so a
+products. Recipe text doubles as the group's id in reports. Each kind is
+one `_KINDS` record: its builder, its argument types, and the degree and
+order of its group. `_build` refuses a recipe past MAX_DEGREE points or
+DEFAULT_ENUM_CAP elements before any stabilizer chain is built, and raises
+InternalMismatch when a built group's order differs from the table, so a
 typo in a multiplication rule cannot silently poison downstream checks.
 """
 
@@ -13,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import GroupParseError, InternalMismatch, UnsupportedParameters
-from .group import PermutationGroup
+from .group import DEFAULT_ENUM_CAP, PermutationGroup
 from .perm import Permutation
 from .series import exponent, require_prime
 
@@ -175,9 +178,6 @@ def _extraspecial(p: int, sign: str) -> PermutationGroup:
         return Permutation(tuple(index[mul(x, g)] for x in els))
 
     G = PermutationGroup(len(els), [right_mul_perm(g) for g in gens])
-    if G.order() != p ** 3:
-        raise InternalMismatch(
-            f"extraspecial table generated order {G.order()}, not {p ** 3}")
     want_exp = 4 if p == 2 else (p if sign == "plus" else p * p)
     if exponent(G) != want_exp:
         raise InternalMismatch("extraspecial group has the wrong exponent")
@@ -198,16 +198,12 @@ def _wreath_cyclic(p: int, q: int) -> PermutationGroup:
         raise UnsupportedParameters("the top cycle must have length at "
                                     "least 2")
     degree = p * q
-    if degree > 64:
-        raise UnsupportedParameters("wreath degree is capped at 64 points")
     base = list(range(degree))
     for i in range(p):
         base[i] = (i + 1) % p
     top = tuple((i + p) % degree for i in range(degree))
-    G = PermutationGroup(degree, [Permutation(tuple(base)), Permutation(top)])
-    if G.order() != p ** q * q:
-        raise InternalMismatch("wreath product has the wrong order")
-    return G
+    return PermutationGroup(degree, [Permutation(tuple(base)),
+                                     Permutation(top)])
 
 
 def _shift_perm(g: Permutation, offset: int, degree: int) -> Permutation:
@@ -221,47 +217,34 @@ def _product(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     degree = A.degree + B.degree
     gens = [_shift_perm(g, 0, degree) for g in A.generators]
     gens += [_shift_perm(g, A.degree, degree) for g in B.generators]
-    G = PermutationGroup(degree, gens)
-    if G.order() != A.order() * B.order():
-        raise InternalMismatch("direct product has the wrong order")
-    return G
+    return PermutationGroup(degree, gens)
 
 
-_ORDER_CHECKS = {
-    "cyclic": lambda n: n,
-    "elementary_abelian": lambda p, k: p ** k,
-    "dihedral": lambda n: 2 * n,
-    "symmetric": lambda n: math.factorial(n),
-    "alternating": lambda n: math.factorial(n) // 2,
-    "sl2": lambda q: {2: 6, 3: 24}[q],
-    "gl2": lambda q: 48,
-    "affine": lambda p: p * (p - 1),
-}
+class _Kind(NamedTuple):
+    """A builder, its argument types, and its group's degree and order."""
 
-_DEGREES = {
-    "cyclic": lambda n: n,
-    "elementary_abelian": lambda p, k: p * k,
-    "dihedral": lambda n: n,
-    "symmetric": lambda n: n,
-    "alternating": lambda n: n,
-    "sl2": lambda q: q * q - 1,
-    "gl2": lambda q: q * q - 1,
-    "affine": lambda p: p,
-    "extraspecial": lambda p, sign: p ** 3,
-    "wreath_cyclic": lambda p, q: p * q,
-}
+    build: Callable[..., PermutationGroup]
+    arg_types: tuple
+    degree: Callable[..., int]
+    order: Callable[..., int]
 
-_BUILDERS = {
-    "cyclic": (_cyclic, (int,)),
-    "elementary_abelian": (_elementary_abelian, (int, int)),
-    "dihedral": (_dihedral, (int,)),
-    "symmetric": (_symmetric, (int,)),
-    "alternating": (_alternating, (int,)),
-    "sl2": (_sl2, (int,)),
-    "gl2": (_gl2, (int,)),
-    "affine": (_affine, (int,)),
-    "extraspecial": (_extraspecial, (int, str)),
-    "wreath_cyclic": (_wreath_cyclic, (int, int)),
+
+_KINDS = {
+    "cyclic": _Kind(_cyclic, (int,), lambda n: n, lambda n: n),
+    "elementary_abelian": _Kind(_elementary_abelian, (int, int),
+                                lambda p, k: p * k, lambda p, k: p ** k),
+    "dihedral": _Kind(_dihedral, (int,), lambda n: n, lambda n: 2 * n),
+    "symmetric": _Kind(_symmetric, (int,), lambda n: n, math.factorial),
+    "alternating": _Kind(_alternating, (int,), lambda n: n,
+                         lambda n: math.factorial(n) // 2),
+    "sl2": _Kind(_sl2, (int,), lambda q: q * q - 1, lambda q: q ** 3 - q),
+    "gl2": _Kind(_gl2, (int,), lambda q: q * q - 1,
+                 lambda q: (q * q - 1) * (q * q - q)),
+    "affine": _Kind(_affine, (int,), lambda p: p, lambda p: p * (p - 1)),
+    "extraspecial": _Kind(_extraspecial, (int, str), lambda p, sign: p ** 3,
+                          lambda p, sign: p ** 3),
+    "wreath_cyclic": _Kind(_wreath_cyclic, (int, int), lambda p, q: p * q,
+                           lambda p, q: p ** q * q),
 }
 
 
@@ -304,10 +287,10 @@ def parse_recipe(text: str):
         raise GroupParseError(f"malformed recipe {t!r}", line=1, column=1)
     parts = [x.strip() for x in t.split(":")]
     kind, raw_args = parts[0], parts[1:]
-    if kind not in _BUILDERS:
+    if kind not in _KINDS:
         raise GroupParseError(f"unknown recipe kind {kind!r}", line=1,
                               column=1)
-    _, arg_types = _BUILDERS[kind]
+    arg_types = _KINDS[kind].arg_types
     if len(raw_args) != len(arg_types):
         raise GroupParseError(
             f"{kind} takes {len(arg_types)} argument(s), got {len(raw_args)}",
@@ -335,31 +318,46 @@ def canonical_recipe(text: str) -> str:
     return render(parse_recipe(text))
 
 
-def _degree(node) -> int:
-    # the number of points the recipe acts on, read without building it
+def _read(node, field: str) -> int:
+    # the table's degree or order; a product's come from its two factors
     kind, args = node
-    if kind == "product":
-        return _degree(args[0]) + _degree(args[1])
-    return _DEGREES[kind](*args)
+    if kind != "product":
+        return getattr(_KINDS[kind], field)(*args)
+    a, b = (_read(x, field) for x in args)
+    return a + b if field == "degree" else a * b
+
+
+def _run_builders(node, built) -> PermutationGroup:
+    # run the builders, factors first; only the extraspecial exponent check
+    # builds a chain here, and its order p^3 is bounded by its degree
+    kind, args = node
+    try:
+        G = (_product(*(_run_builders(x, built) for x in args))
+             if kind == "product" else _KINDS[kind].build(*args))
+    except UnsupportedParameters as e:
+        raise GroupParseError(str(e), location=kind) from e
+    built.append((node, G))
+    return G
 
 
 def _build(node) -> PermutationGroup:
-    kind, args = node
-    degree = _degree(node)
+    kind = node[0]
+    degree = _read(node, "degree")
     if degree > MAX_DEGREE:
         raise GroupParseError(
             f"the recipe acts on {degree} points, more than the limit of "
             f"{MAX_DEGREE}", location=kind)
-    if kind == "product":
-        return _product(_build(args[0]), _build(args[1]))
-    builder, _ = _BUILDERS[kind]
-    try:
-        G = builder(*args)
-    except UnsupportedParameters as e:
-        raise GroupParseError(str(e), location=kind) from e
-    check = _ORDER_CHECKS.get(kind)
-    if check is not None and G.order() != check(*args):
-        raise InternalMismatch(f"{kind} construction has the wrong order")
+    built = []
+    G = _run_builders(node, built)
+    # read only now: an order formula trusts the arguments a builder accepted
+    order = _read(node, "order")
+    if order > DEFAULT_ENUM_CAP:
+        raise GroupParseError(
+            f"the recipe names a group of order {order}, more than the limit "
+            f"of {DEFAULT_ENUM_CAP}", location=kind)
+    for sub, H in built:
+        if H.order() != _read(sub, "order"):
+            raise InternalMismatch(f"{sub[0]} construction has the wrong order")
     return G
 
 

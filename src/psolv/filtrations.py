@@ -63,6 +63,19 @@ def search_order_limit(p: int) -> int:
     return SEARCH_ORDER_LIMITS.get(p, p ** 3)
 
 
+def exhaustive_lattice(P: PermutationGroup, p: int):
+    """The gate of every exhaustive PF search over P: (normal_subgroups(P),
+    None) when a search may run, else (None, reason) with reason "order"
+    when |P| is above search_order_limit(p) and "lattice" when the lattice
+    overflows NORMAL_SUBGROUP_LIMIT. Callers word their notes from it."""
+    if P.order() > search_order_limit(p):
+        return None, "order"
+    try:
+        return normal_subgroups(P), None
+    except CapExceeded:
+        return None, "lattice"
+
+
 @dataclass(frozen=True)
 class Filtration:
     """A candidate potent filtration: ambient p-group, type, ordered terms."""
@@ -264,15 +277,15 @@ def ekr_terms(P: PermutationGroup, p: int, k: int, r: int):
     return pieces
 
 
-def _descend(first, step, length_cap):
+def _descend(first, step):
     """Build a weakly descending chain from `first` via `step(i)` for
     i = 2, 3, ..., skipping repeats, until a trivial term is appended."""
     terms = [first]
     i = 2
     while not terms[-1].is_trivial():
-        if i > length_cap + 1:
-            raise LengthCapExceeded(
-                f"candidate chain exceeded {length_cap} construction steps")
+        if i > DEFAULT_LENGTH_CAP + 1:
+            raise LengthCapExceeded(f"candidate chain exceeded "
+                                    f"{DEFAULT_LENGTH_CAP} construction steps")
         nxt = step(i, terms[-1])
         if not same_subgroup(nxt, terms[-1]):
             terms.append(nxt)
@@ -280,8 +293,7 @@ def _descend(first, step, length_cap):
     return tuple(terms)
 
 
-def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int,
-                      length_cap: int = DEFAULT_LENGTH_CAP):
+def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int):
     """Three candidate type-(p-1) chains starting at E_{k,r}(P), each
     verified.
 
@@ -290,7 +302,8 @@ def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int,
     N_{i+1} = [N_i, P]. No single construction is singled out as canonical;
     callers record which, if any, verifies. Consecutive repeats are skipped
     (dropping a duplicate term only weakens the chain conditions) and each
-    chain is truncated at its first trivial term.
+    chain is truncated at its first trivial term; a chain still going after
+    DEFAULT_LENGTH_CAP steps raises LengthCapExceeded.
     """
     E = compute_ekr(P, p, k, r)
     ell = p - 1
@@ -306,7 +319,7 @@ def ekr_pf_candidates(P: PermutationGroup, p: int, k: int, r: int,
 
     out = []
     for step in (shifted_both, shifted_threshold, bracket_step):
-        F = Filtration(P, p, ell, _descend(E, step, length_cap))
+        F = Filtration(P, p, ell, _descend(E, step))
         out.append((F, verify_potent_filtration(F)))
     return out
 
@@ -418,15 +431,13 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         return SearchOutcome(SearchOutcome.FOUND, F, 0, tuple(notes))
 
     if normals is None:
-        limit = search_order_limit(p)
-        if P.order() > limit:
-            notes.append(f"ambient order {P.order()} is above the exhaustive "
-                         f"enumeration limit {limit}")
-            return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
-        try:
-            normals = normal_subgroups(P)
-        except CapExceeded:
-            notes.append("normal subgroup enumeration overflowed its cap")
+        normals, refused = exhaustive_lattice(P, p)
+        if refused is not None:
+            notes.append(
+                f"ambient order {P.order()} is above the exhaustive "
+                f"enumeration limit {search_order_limit(p)}"
+                if refused == "order"
+                else "normal subgroup enumeration overflowed its cap")
             return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
     normals = tuple(normals)

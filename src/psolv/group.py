@@ -178,14 +178,16 @@ class PermutationGroup:
             )
         return self.chain.contains(g)
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All elements in deterministic chain order.
 
-        Raises CapExceeded before enumerating anything when order() > cap.
+        Raises CapExceeded before enumerating anything when order() >
+        DEFAULT_ENUM_CAP.
         """
         n = self.order()
-        if n > cap:
-            raise CapExceeded(f"group order {n} exceeds enumeration cap {cap}", cap=cap)
+        if n > DEFAULT_ENUM_CAP:
+            raise CapExceeded(f"group order {n} exceeds enumeration cap "
+                              f"{DEFAULT_ENUM_CAP}", cap=DEFAULT_ENUM_CAP)
         if self._elements is None:
             self._elements = list(self.chain.iter_elements())
         return self._elements

@@ -19,6 +19,7 @@ from .filtrations import (
     Filtration,
     SearchOutcome,
     compute_ekr,
+    exhaustive_lattice,
     pf_embedded_search,
     search_order_limit,
     verify_potent_filtration,
@@ -48,7 +49,6 @@ from .subgroups import (
     is_subgroup,
     iterated_commutator,
     join,
-    normal_subgroups,
     power_subgroup,
     same_subgroup,
 )
@@ -425,8 +425,9 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
 
     This explores an open question, so every verdict is report-only: a
     counterexample would be interesting, not a bug. Groups that are not
-    p-solvable or whose Sylow subgroup is too large for the exhaustive
-    search are skipped with a note.
+    p-solvable or whose Sylow subgroup `exhaustive_lattice` refuses (its
+    order is above the search limit, or its lattice overflows the cap) are
+    skipped with a note.
     """
     require_prime(p)
     if ell < 0:
@@ -438,14 +439,14 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
                         report_only=True)]
     P = sylow(G, p)
     base_params["sylow_order"] = P.order()
-    limit = search_order_limit(p)
-    if P.order() > limit:
+    normals, refused = exhaustive_lattice(P, p)
+    if refused is not None:
+        why = (f"the Sylow subgroup order {P.order()} exceeds the exhaustive "
+               f"search limit {search_order_limit(p)}" if refused == "order"
+               else "the Sylow subgroup's normal subgroup enumeration "
+               "overflowed its cap")
         return [Verdict("question7", False, None, dict(base_params),
-                        notes=(f"skipped: the Sylow subgroup order "
-                               f"{P.order()} exceeds the exhaustive "
-                               f"search limit {limit}",),
-                        report_only=True)]
-    normals = normal_subgroups(P)
+                        notes=(f"skipped: {why}",), report_only=True)]
     core = o_pprime_p(G, p)
     swapped = _core_modulo(G, p, "p'", o_p(G, p))
 

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import itertools
 import json
+import math
 
 import pytest
 
@@ -11,6 +13,7 @@ from psolv.catalog import (
     REPORT_SCHEMA,
     TOOL_VERSION,
     Report,
+    _KINDS,
     build_group,
     canonical_recipe,
     emit_group,
@@ -19,7 +22,8 @@ from psolv.catalog import (
     parse_recipe,
     parse_report,
 )
-from psolv.errors import GroupParseError
+from psolv.errors import GroupParseError, InternalMismatch
+from psolv.group import PermutationGroup
 from psolv.series import exponent, is_p_group
 
 from oracles import elements_of
@@ -112,6 +116,7 @@ def test_building_leaves_no_reference_cycle():
     "cyclic:0",
     "dihedral:2",
     "sl2:4",
+    "symmetric:-1",
     "extraspecial:2:zero",
     "product(cyclic:2)",
     "product(cyclic:2,cyclic:3",
@@ -141,6 +146,88 @@ def test_recipe_degree_ceiling_before_building(recipe, degree, monkeypatch):
     with pytest.raises(GroupParseError) as e:
         build_group(recipe)
     assert str(degree) in str(e.value)
+
+
+def test_product_is_not_a_colon_kind():
+    with pytest.raises(GroupParseError) as e:
+        build_group("product:2")
+    assert "unknown recipe kind 'product'" in str(e.value)
+
+
+@pytest.mark.parametrize("recipe, order", [
+    ("symmetric:64", math.factorial(64)),
+    ("symmetric:9", math.factorial(9)),
+    ("elementary_abelian:2:18", 2 ** 18),
+    # a product counts the product of its factors' orders
+    ("product(symmetric:8,product(symmetric:8,cyclic:2))", 2 * 40320 ** 2),
+])
+def test_recipe_order_ceiling_before_any_chain(recipe, order, monkeypatch):
+    import psolv.group
+
+    def refuse(*args):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(psolv.group, "StabilizerChain", refuse)
+    with pytest.raises(GroupParseError) as e:
+        build_group(recipe)
+    assert str(order) in str(e.value)
+
+
+def test_wreath_product_has_no_degree_cap_of_its_own():
+    G = build_group("wreath_cyclic:37:2")
+    assert (G.degree, G.order()) == (74, 37 ** 2 * 2)
+
+
+def _recipe_grid():
+    values = {int: [str(i) for i in range(-1, 10)],
+              str: ["plus", "minus", "x"]}
+    for kind, record in _KINDS.items():
+        for args in itertools.product(*(values[t] for t in record.arg_types)):
+            yield ":".join((kind,) + args)
+
+
+def test_recipe_grid_builds_the_table_or_refuses():
+    # every kind over small arguments: a recipe either builds the degree and
+    # order the table gives, or is refused with GroupParseError
+    built = refused = 0
+    for recipe in _recipe_grid():
+        try:
+            G = build_group(recipe)
+        except GroupParseError:
+            refused += 1
+            continue
+        kind, args = parse_recipe(recipe)
+        record = _KINDS[kind]
+        assert (G.degree, G.order()) == \
+            (record.degree(*args), record.order(*args)), recipe
+        built += 1
+    assert (built, refused) == (98, 254)
+
+
+@pytest.mark.parametrize("recipe, kind", [
+    ("dihedral:4", "dihedral"),
+    ("extraspecial:3:plus", "extraspecial"),
+    ("product(cyclic:2,cyclic:3)", "product"),
+    # a wrong factor is named, not only the product it spoils
+    ("product(dihedral:4,cyclic:2)", "dihedral"),
+])
+def test_a_builder_of_the_wrong_order_is_caught(recipe, kind, monkeypatch):
+    import psolv.catalog
+
+    def trivial(degree):
+        # the degree the table expects, but only one element
+        return PermutationGroup(degree, ())
+
+    if kind == "product":
+        monkeypatch.setattr(psolv.catalog, "_product",
+                            lambda A, B: trivial(A.degree + B.degree))
+    else:
+        record = _KINDS[kind]
+        monkeypatch.setitem(_KINDS, kind, record._replace(
+            build=lambda *a: trivial(record.degree(*a))))
+    with pytest.raises(InternalMismatch) as e:
+        build_group(recipe)
+    assert str(e.value).startswith(kind)
 
 
 def test_degree_ceiling_admits_the_catalog():

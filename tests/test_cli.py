@@ -225,6 +225,20 @@ def test_oversized_degree_exits_1(tmp_path, capsys):
     assert "degree" in err
 
 
+def test_oversized_order_exits_1_before_any_chain(capsys, monkeypatch):
+    import psolv.group
+
+    def refuse(*args):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(psolv.group, "StabilizerChain", refuse)
+    code, out, err = run(capsys, "analyze", "--recipe", "symmetric:64",
+                         "--p", "2")
+    assert code == 1
+    assert err.startswith("psolv: error:")
+    assert "order" in err
+
+
 def test_bad_group_document_reports_location(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text('{"degree": 3, "generators": [[0, 1]]}')

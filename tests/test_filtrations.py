@@ -159,9 +159,11 @@ def test_ekr_pf_candidates_skip_consecutive_repeats():
         assert all(a > b for a, b in zip(orders, orders[1:]))
 
 
-def test_ekr_pf_candidates_length_cap():
+def test_ekr_pf_candidates_length_cap(monkeypatch):
+    import psolv.filtrations
+    monkeypatch.setattr(psolv.filtrations, "DEFAULT_LENGTH_CAP", 1)
     with pytest.raises(LengthCapExceeded):
-        ekr_pf_candidates(D8, 2, 1, 1, length_cap=1)
+        ekr_pf_candidates(D8, 2, 1, 1)
 
 
 def test_search_trivial_start_needs_no_nodes():

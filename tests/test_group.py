@@ -59,10 +59,12 @@ def test_enumeration_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_elements_cap():
+def test_elements_cap(monkeypatch):
+    import psolv.group
+    monkeypatch.setattr(psolv.group, "DEFAULT_ENUM_CAP", 23)
     S4 = g(4, "(1 2)", "(1 2 3 4)")
     with pytest.raises(CapExceeded):
-        S4.elements(cap=23)
+        S4.elements()
 
 
 def test_trivial_group():

@@ -376,8 +376,10 @@ def test_sylow_of_a_p_group_is_the_group():
     assert normal_subgroups(sylow(G, 5)) is normal_subgroups(G)
 
 
-def test_cached_elements_keep_their_cap():
+def test_cached_elements_keep_their_cap(monkeypatch):
+    import psolv.group
     G = g(4, "(1 2)", "(1 2 3 4)")
     assert len(G.elements()) == 24
+    monkeypatch.setattr(psolv.group, "DEFAULT_ENUM_CAP", 23)
     with pytest.raises(CapExceeded):
-        G.elements(cap=23)
+        G.elements()

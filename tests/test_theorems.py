@@ -377,6 +377,26 @@ def test_question7_skips_oversized_sylow():
     assert "limit" in out[0].notes[0]
 
 
+def test_lattice_overflow_is_a_skip_for_every_search(monkeypatch):
+    # one gate decides for the battery, the PF search and question 7; a
+    # fresh D8 has six normal subgroups, more than the patched limit
+    import psolv.subgroups
+    from psolv.battery import battery_for_group
+    from psolv.filtrations import SearchOutcome, pf_embedded_search
+    monkeypatch.setattr(psolv.subgroups, "NORMAL_SUBGROUP_LIMIT", 3)
+    D8 = g(4, "(1 2 3 4)", "(1 3)")
+    out = pf_embedded_search(D8, 2, D8, 1)
+    assert out.status == SearchOutcome.EXHAUSTED
+    assert out.notes == ("normal subgroup enumeration overflowed its cap",)
+    skip, = question7_scan(D8, 2)
+    assert skip.report_only and not skip.hypothesis_holds
+    assert skip.notes[0].startswith("skipped:")
+    assert "overflowed" in skip.notes[0]
+    reports = battery_for_group(D8, "dihedral:4", 2, 7)
+    q7 = [r.verdict for r in reports if r.statement_id == "question7"]
+    assert q7 == [skip.to_payload()]
+
+
 def test_hall_higman_bound():
     v = hall_higman_bound(S3, 3)
     assert v.statement == "hall-higman"
