@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .catalog import DEFAULT_CATALOG, TOOL_VERSION, Report, build_group
+from .catalog import DEFAULT_CATALOG, Report, build_group
 from .errors import CapExceeded, KernelNotElementaryAbelian
 from .filtrations import (
     SearchOutcome,
@@ -44,12 +44,6 @@ SAMPLE_PAIRS = 200
 LINEAR_GROUP_LIMIT = 500
 
 
-def _skip(statement, p, G, reason):
-    return Verdict(statement, False, None,
-                   {"p": p, "group_order": G.order()},
-                   notes=(f"skipped: {reason}",), report_only=True)
-
-
 def _search_starts(normals):
     """Smallest few plus the largest two; ascending, no duplicates."""
     picked = list(normals[:SEARCH_INSTANCE_CAP - 2]) + list(normals[-2:])
@@ -69,13 +63,12 @@ def battery_for_group(G, gid: str, p: int, seed: int):
     """All statement verdicts for one group at one prime, as Reports."""
     require_prime(p)
     verdicts = [analyze_group(G, p)]
-    solvable = is_p_solvable(G, p)
-    if not solvable:
+    if not is_p_solvable(G, p):
         for statement in ("main", "thm6", "hall-higman"):
-            verdicts.append(_skip(statement, p, G,
-                                  "the group is not p-solvable"))
-        return [Report(TOOL_VERSION, gid, v.statement, v.to_payload())
-                for v in verdicts]
+            verdicts.append(Verdict.skip(
+                statement, {"p": p, "group_order": G.order()},
+                "the group is not p-solvable"))
+        return [Report.of(gid, v) for v in verdicts]
 
     verdicts.append(verify_main(G, p))
     verdicts.append(verify_thm6(G, p))
@@ -96,28 +89,22 @@ def battery_for_group(G, gid: str, p: int, seed: int):
         if pf.valid:
             remember(F)
 
-    prop3_instances = []
-    prop4_instances = []
+    # Proposition 3 needs an odd prime; its chains are searched first
+    instances = []
     if normals_P is not None:
         starts = _search_starts(normals_P)
-        if p >= 3:
+        for ell, checker in [(p - 2, verify_prop3),
+                             (p - 1, verify_prop4)][p == 2:]:
             for N in starts:
-                out = pf_embedded_search(P, p, N, p - 2)
+                out = pf_embedded_search(P, p, N, ell)
                 if out.status == SearchOutcome.FOUND:
                     remember(out.filtration)
-                    prop3_instances.append((N, out.filtration))
-        for N in starts:
-            out = pf_embedded_search(P, p, N, p - 1)
-            if out.status == SearchOutcome.FOUND:
-                remember(out.filtration)
-                prop4_instances.append((N, out.filtration))
+                    instances.append((checker, N, out.filtration))
 
     for F in found_chains[:PROP1_INSTANCE_CAP]:
         verdicts.append(check_prop1(F))
-    for N, F in prop3_instances:
-        verdicts.append(verify_prop3(G, p, N, F))
-    for N, F in prop4_instances:
-        verdicts.append(verify_prop4(G, p, N, F))
+    for checker, N, F in instances:
+        verdicts.append(checker(G, p, N, F))
 
     if G.order() <= LATTICE_GROUP_LIMIT:
         try:
@@ -140,8 +127,7 @@ def battery_for_group(G, gid: str, p: int, seed: int):
 
     verdicts.extend(question7_scan(G, p, 1))
 
-    return [Report(TOOL_VERSION, gid, v.statement, v.to_payload())
-            for v in verdicts]
+    return [Report.of(gid, v) for v in verdicts]
 
 
 def _linear_action_verdict(G, gid, p, seed):

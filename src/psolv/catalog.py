@@ -469,6 +469,11 @@ class Report:
     verdict: dict
     timing: float | None = None
 
+    @classmethod
+    def of(cls, group_id: str, v) -> Report:
+        """The report of one verdict about one group."""
+        return cls(TOOL_VERSION, group_id, v.statement, v.to_payload())
+
     def to_payload(self):
         return {
             "tool_version": self.tool_version,

@@ -16,7 +16,6 @@ import sys
 from .battery import run_catalog
 from .catalog import (
     DEFAULT_CATALOG,
-    TOOL_VERSION,
     Report,
     build_group,
     canonical_recipe,
@@ -129,11 +128,13 @@ def resolve_subgroup(token: str, G: PermutationGroup,
     raise UnsupportedParameters(f"unknown subgroup token {t!r}")
 
 
-def _emit_verdicts(args, gid, verdicts):
-    reports = [Report(TOOL_VERSION, gid, v.statement, v.to_payload())
-               for v in verdicts]
+def _emit_reports(args, reports):
     sys.stdout.write(emit_report(reports, args.format))
     return 2 if any(r.verdict.get("is_finding") for r in reports) else 0
+
+
+def _emit_verdicts(args, gid, verdicts):
+    return _emit_reports(args, [Report.of(gid, v) for v in verdicts])
 
 
 def _emit_object(args, payload, text_lines):
@@ -216,19 +217,12 @@ def _cmd_pf_search(args):
     return _emit_object(args, payload, lines)
 
 
-def _cmd_verify_main(args):
+def _cmd_verify_length(args):
     G, gid = _load_group(args)
-    return _emit_verdicts(args, gid, [
-        verify_main(G, args.p, args.ell)])
+    return _emit_verdicts(args, gid, [args.checker(G, args.p, args.ell)])
 
 
-def _cmd_verify_thm6(args):
-    G, gid = _load_group(args)
-    return _emit_verdicts(args, gid, [
-        verify_thm6(G, args.p, args.ell)])
-
-
-def _cmd_verify_prop(args, expected_gap, checker):
+def _cmd_verify_prop(args):
     G, gid = _load_group(args)
     P, terms = _chain(args, G, args.p)
     if args.normal is not None:
@@ -237,8 +231,8 @@ def _cmd_verify_prop(args, expected_gap, checker):
         N = terms[0]
     else:
         raise UnsupportedParameters("give --normal or at least one --term")
-    F = Filtration(P, args.p, args.p - expected_gap, terms)
-    return _emit_verdicts(args, gid, [checker(G, args.p, N, F)])
+    F = Filtration(P, args.p, args.p - args.gap, terms)
+    return _emit_verdicts(args, gid, [args.checker(G, args.p, N, F)])
 
 
 def _cmd_verify_lemma8(args):
@@ -273,9 +267,7 @@ def _cmd_catalog_list(args):
 
 
 def _cmd_catalog_run(args):
-    reports = run_catalog(args.p, args.seed, args.only)
-    sys.stdout.write(emit_report(reports, args.format))
-    return 2 if any(r.verdict.get("is_finding") for r in reports) else 0
+    return _emit_reports(args, run_catalog(args.p, args.seed, args.only))
 
 
 def _env_seed():
@@ -335,21 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="check a statement")
     verify_sub = verify.add_subparsers(dest="statement", required=True)
-    for name, handler in (("main", _cmd_verify_main),
-                          ("thm6", _cmd_verify_thm6)):
+    for name, checker in (("main", verify_main), ("thm6", verify_thm6)):
         sub = verify_sub.add_parser(name)
         _add_common(sub)
         sub.add_argument("--ell", type=int, default=None)
-        sub.set_defaults(handler=handler)
-    for name, gap in (("prop3", 2), ("prop4", 1)):
+        sub.set_defaults(handler=_cmd_verify_length, checker=checker)
+    # the chain's type is p - gap
+    for name, checker, gap in (("prop3", verify_prop3, 2),
+                               ("prop4", verify_prop4, 1)):
         sub = verify_sub.add_parser(name)
         _add_common(sub)
         sub.add_argument("--normal", default=None,
                          help="chain start; defaults to the first --term")
         sub.add_argument("--term", action="append", required=True)
-        sub.set_defaults(handler=(lambda a, gap=gap, checker={
-            2: verify_prop3, 1: verify_prop4}[gap]:
-            _cmd_verify_prop(a, gap, checker)))
+        sub.set_defaults(handler=_cmd_verify_prop, checker=checker, gap=gap)
     sub = verify_sub.add_parser("lemma8")
     _add_common(sub)
     sub.add_argument("--normal", required=True)

@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedParameters,
 )
+from . import subgroups
 from .group import PermutationGroup, group_fact, trivial_group
 from .perm import Permutation
 from .series import (
@@ -63,13 +64,31 @@ def search_order_limit(p: int) -> int:
     return SEARCH_ORDER_LIMITS.get(p, p ** 3)
 
 
+@group_fact
+def _frattini_subspaces(P: PermutationGroup, p: int) -> int:
+    """Number of subspaces of P/Phi(P) for the p-group P, where
+    Phi(P) = [P, P]P^p: the sum over k of the Gaussian binomials [d k]_p,
+    d the rank of P/Phi(P). Every subgroup of P that contains Phi(P) is
+    normal, so P has at least this many normal subgroups."""
+    frattini = join(gamma(P, 2), power_subgroup(P, p))
+    d = _p_valuation(P.order() // frattini.order(), p)
+    row = [1]  # [n k]_p for k = 0 .. n, by the q-Pascal rule
+    for n in range(1, d + 1):
+        row = [1] + [row[k - 1] + p ** k * row[k] for k in range(1, n)] + [1]
+    return sum(row)
+
+
 def exhaustive_lattice(P: PermutationGroup, p: int):
     """The gate of every exhaustive PF search over P: (normal_subgroups(P),
     None) when a search may run, else (None, reason) with reason "order"
     when |P| is above search_order_limit(p) and "lattice" when the lattice
-    overflows NORMAL_SUBGROUP_LIMIT. Callers word their notes from it."""
+    overflows NORMAL_SUBGROUP_LIMIT. A lattice that P/Phi(P) alone makes
+    too large is refused before any member is closed. Callers word their
+    notes from it."""
     if P.order() > search_order_limit(p):
         return None, "order"
+    if _frattini_subspaces(P, p) > subgroups.NORMAL_SUBGROUP_LIMIT:
+        return None, "lattice"
     try:
         return normal_subgroups(P), None
     except CapExceeded:
@@ -422,7 +441,7 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
     if ell < 0:
         raise PreconditionViolated("filtration type must be nonnegative")
     notes = [ELL_ZERO_NOTE] if ell == 0 else []
-    if N.degree != P.degree or not is_subgroup(N, P) or not is_normal(P, N):
+    if N.degree != P.degree or not is_normal(P, N):
         raise PreconditionViolated(
             "the starting subgroup must be normal in the ambient group")
 

@@ -59,6 +59,11 @@ CORE_ORDER_NOTE = ("containment is tested against the p'-core-then-p-core "
                    "alongside because the two are easy to conflate")
 
 
+def _require_p_solvable(G, p):
+    if not is_p_solvable(G, p):
+        raise NotPSolvable(f"the group is not {p}-solvable")
+
+
 def _outside(label, A, B):
     """() when A <= B, else ((label, w),) with w a generator of A outside B."""
     w = _first_outside(A, B)
@@ -209,8 +214,7 @@ def _verify_length_links(G, p, P, ell, params, witnesses):
 
 def _verify_length_statement(statement, G, p, ell, thm6_only):
     require_prime(p)
-    if not is_p_solvable(G, p):
-        raise NotPSolvable(f"the group is not {p}-solvable")
+    _require_p_solvable(G, p)
     if ell is not None and ell < 1:
         raise PreconditionViolated("the type must be at least 1")
     P = sylow(G, p)
@@ -285,18 +289,16 @@ def _require_sylow_filtration(G, p, N, F, expected_type):
                                    "subgroup")
 
 
-def verify_prop3(G: PermutationGroup, p: int, N: PermutationGroup,
-                 F: Filtration) -> Verdict:
-    """A subgroup of a Sylow p-subgroup starting a potent filtration of
-    type p-2 (p odd) lies inside the p'-then-p core."""
-    require_prime(p)
-    if p < 3:
-        raise PreconditionViolated("an odd prime is required")
-    if not is_p_solvable(G, p):
-        raise NotPSolvable(f"the group is not {p}-solvable")
-    _require_sylow_filtration(G, p, N, F, p - 2)
+def _verify_core_containment(statement, G, p, N, F, ell, q=1, label=None):
+    """The shape of Propositions 3 and 4: when N starts the potent
+    filtration F of type ell of a Sylow p-subgroup, N^q lies inside the
+    p'-then-p core. A statement that names the tested subgroup in label
+    also records it, and its order, among the parameters."""
+    _require_p_solvable(G, p)
+    _require_sylow_filtration(G, p, N, F, ell)
     pf = verify_potent_filtration(F)
     core = o_pprime_p(G, p)
+    tested = power_subgroup(N, q)
     params = {
         "p": p,
         "type_ell": F.type_ell,
@@ -306,10 +308,24 @@ def verify_prop3(G: PermutationGroup, p: int, N: PermutationGroup,
         "chain_orders": F.orders(),
         "chain_verdict": pf.to_payload(),
     }
+    if label is not None:
+        params["tested_subgroup"] = label
+        params["tested_order"] = tested.order()
     if not pf.valid:
-        return Verdict("prop3", False, None, params)
-    witnesses = _outside("generator of the subgroup outside the core", N, core)
-    return Verdict("prop3", True, not witnesses, params, witnesses)
+        return Verdict(statement, False, None, params)
+    witnesses = _outside(f"generator of {label or 'the subgroup'} outside "
+                         "the core", tested, core)
+    return Verdict(statement, True, not witnesses, params, witnesses)
+
+
+def verify_prop3(G: PermutationGroup, p: int, N: PermutationGroup,
+                 F: Filtration) -> Verdict:
+    """A subgroup of a Sylow p-subgroup starting a potent filtration of
+    type p-2 (p odd) lies inside the p'-then-p core."""
+    require_prime(p)
+    if p < 3:
+        raise PreconditionViolated("an odd prime is required")
+    return _verify_core_containment("prop3", G, p, N, F, p - 2)
 
 
 def verify_prop4(G: PermutationGroup, p: int, N: PermutationGroup,
@@ -318,32 +334,9 @@ def verify_prop4(G: PermutationGroup, p: int, N: PermutationGroup,
     p'-then-p core after raising to a power that depends on p: the p-th
     power for p >= 5, the p^2-th for p = 3, and no power at all for p = 2."""
     require_prime(p)
-    if not is_p_solvable(G, p):
-        raise NotPSolvable(f"the group is not {p}-solvable")
-    _require_sylow_filtration(G, p, N, F, p - 1)
-    pf = verify_potent_filtration(F)
-    core = o_pprime_p(G, p)
-    if p >= 5:
-        tested, label = power_subgroup(N, p), "N^p"
-    elif p == 3:
-        tested, label = power_subgroup(N, p * p), "N^(p^2)"
-    else:
-        tested, label = N, "N"
-    params = {
-        "p": p,
-        "type_ell": F.type_ell,
-        "n_order": N.order(),
-        "tested_subgroup": label,
-        "tested_order": tested.order(),
-        "sylow_order": F.ambient.order(),
-        "core_order": core.order(),
-        "chain_orders": F.orders(),
-        "chain_verdict": pf.to_payload(),
-    }
-    if not pf.valid:
-        return Verdict("prop4", False, None, params)
-    witnesses = _outside(f"generator of {label} outside the core", tested, core)
-    return Verdict("prop4", True, not witnesses, params, witnesses)
+    q, label = ((p, "N^p") if p >= 5 else (p * p, "N^(p^2)") if p == 3
+                else (1, "N"))
+    return _verify_core_containment("prop4", G, p, N, F, p - 1, q, label)
 
 
 def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
@@ -353,10 +346,9 @@ def verify_lemma8(G: PermutationGroup, p: int, N: PermutationGroup,
     require_prime(p)
     if l < 1:
         raise PreconditionViolated("the commutator depth must be at least 1")
-    if N.degree != G.degree or not is_subgroup(N, G) or not is_normal(G, N):
+    if N.degree != G.degree or not is_normal(G, N):
         raise PreconditionViolated("N must be a normal subgroup of the group")
-    if not is_p_solvable(G, p):
-        raise NotPSolvable(f"the group is not {p}-solvable")
+    _require_p_solvable(G, p)
     core_pprime = o_pprime(G, p)
     if not core_pprime.is_trivial():
         raise PreconditionViolated("the p'-core must be trivial")
@@ -434,19 +426,17 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
         raise PreconditionViolated("the type must be nonnegative")
     base_params = {"p": p, "ell": ell, "group_order": G.order()}
     if not is_p_solvable(G, p):
-        return [Verdict("question7", False, None, dict(base_params),
-                        notes=("skipped: the group is not p-solvable",),
-                        report_only=True)]
+        return [Verdict.skip("question7", base_params,
+                             "the group is not p-solvable")]
     P = sylow(G, p)
     base_params["sylow_order"] = P.order()
     normals, refused = exhaustive_lattice(P, p)
     if refused is not None:
-        why = (f"the Sylow subgroup order {P.order()} exceeds the exhaustive "
-               f"search limit {search_order_limit(p)}" if refused == "order"
-               else "the Sylow subgroup's normal subgroup enumeration "
-               "overflowed its cap")
-        return [Verdict("question7", False, None, dict(base_params),
-                        notes=(f"skipped: {why}",), report_only=True)]
+        return [Verdict.skip("question7", base_params, (
+            f"the Sylow subgroup order {P.order()} exceeds the exhaustive "
+            f"search limit {search_order_limit(p)}" if refused == "order"
+            else "the Sylow subgroup's normal subgroup enumeration "
+            "overflowed its cap"))]
     core = o_pprime_p(G, p)
     swapped = _core_modulo(G, p, "p'", o_p(G, p))
 
@@ -480,8 +470,7 @@ def hall_higman_bound(G: PermutationGroup, p: int) -> Verdict:
     case is reported without being asserted.
     """
     require_prime(p)
-    if not is_p_solvable(G, p):
-        raise NotPSolvable(f"the group is not {p}-solvable")
+    _require_p_solvable(G, p)
     P = sylow(G, p)
     e = _p_valuation(exponent(P), p)
     length = p_length(G, p)

@@ -27,6 +27,12 @@ class Verdict:
         if self.conclusion_holds is not None and not self.hypothesis_holds:
             raise ValueError("conclusion recorded without its hypothesis")
 
+    @classmethod
+    def skip(cls, statement: str, parameters: dict, reason: str) -> Verdict:
+        """A report-only verdict saying why the statement was not checked."""
+        return cls(statement, False, None, parameters,
+                   notes=(f"skipped: {reason}",), report_only=True)
+
     @property
     def is_finding(self) -> bool:
         """True hypothesis, false conclusion, on a statement that asserts."""

@@ -336,6 +336,23 @@ def test_catalog_report_bytes_are_pinned(p):
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256[p]
 
 
+def test_run_catalog_reaches_each_group_through_the_module_global(
+        monkeypatch):
+    # per-group timing replaces psolv.battery.battery_for_group before the
+    # run; a name bound at import would silently time the whole run instead
+    import psolv.battery
+    seen = []
+
+    def recorded(G, gid, p, seed):
+        seen.append((gid, G.order(), p, seed))
+        return []
+
+    monkeypatch.setattr(psolv.battery, "battery_for_group", recorded)
+    assert run_catalog(3, 7) == []
+    assert seen == [(gid, build_group(gid).order(), 3, 7)
+                    for gid in DEFAULT_CATALOG]
+
+
 def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report([], "yaml")

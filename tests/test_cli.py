@@ -4,7 +4,12 @@ import json
 import pytest
 
 import psolv.cli as cli
-from psolv.catalog import DEFAULT_CATALOG, TOOL_VERSION, Report
+import psolv.theorems as theorems
+from psolv.catalog import (DEFAULT_CATALOG, TOOL_VERSION, Report, build_group,
+                           emit_report)
+from psolv.filtrations import Filtration
+from psolv.group import trivial_group
+from psolv.series import sylow
 
 
 def run(capsys, *argv):
@@ -109,6 +114,29 @@ def test_verify_prop3(capsys):
                          "--term", "sylow", "--term", "trivial")
     assert code == 0
     assert "prop3: consistent" in out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("main", "--recipe", "symmetric:4", "--p", "2"),
+     lambda G: theorems.verify_main(G, 2)),
+    (("thm6", "--recipe", "symmetric:4", "--p", "2", "--ell", "2"),
+     lambda G: theorems.verify_thm6(G, 2, 2)),
+    (("prop3", "--recipe", "symmetric:3", "--p", "3", "--term", "sylow",
+      "--term", "trivial"),
+     lambda G: theorems.verify_prop3(G, 3, sylow(G, 3), Filtration(
+         sylow(G, 3), 3, 1, (sylow(G, 3), trivial_group(3))))),
+    (("prop4", "--recipe", "symmetric:3", "--p", "3", "--normal", "sylow",
+      "--term", "sylow", "--term", "trivial"),
+     lambda G: theorems.verify_prop4(G, 3, sylow(G, 3), Filtration(
+         sylow(G, 3), 3, 2, (sylow(G, 3), trivial_group(3))))),
+])
+def test_verify_subcommands_run_their_own_statement(capsys, argv, expected):
+    code, out, err = run(capsys, "verify", *argv, "--format", "structured")
+    assert code == 0
+    recipe = argv[argv.index("--recipe") + 1]
+    v = expected(build_group(recipe))
+    assert v.statement == argv[0]
+    assert out == emit_report([Report.of(recipe, v)], "structured")
 
 
 def test_verify_lemma8_v4_token(capsys):

@@ -12,7 +12,9 @@ from psolv.filtrations import (
     SearchOutcome,
     compute_ekr,
     ekr_pf_candidates,
+    _frattini_subspaces,
     ekr_terms,
+    exhaustive_lattice,
     pf_embedded_search,
     search_order_limit,
     verify_potent_filtration,
@@ -20,6 +22,7 @@ from psolv.filtrations import (
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.series import derived_series, sylow
+from psolv.theorems import question7_scan
 from psolv.subgroups import (conjugacy_classes, normal_subgroups,
                              power_subgroup, same_subgroup)
 
@@ -213,6 +216,43 @@ def test_search_order_limit_is_a_status_not_an_error():
 
 def test_search_order_limit():
     assert [search_order_limit(p) for p in (2, 3, 5, 7)] == [512, 729, 3125, 343]
+
+
+@pytest.mark.parametrize("recipe, p, count", [
+    ("elementary_abelian:2:4", 2, 67),
+    ("dihedral:4", 2, 5),
+    ("cyclic:9", 3, 2),
+    ("extraspecial:3:plus", 3, 6),
+    ("elementary_abelian:5:5", 5, 42_176),
+])
+def test_frattini_subspaces_bound_the_lattice(recipe, p, count):
+    # subgroups of P containing Phi(P) are normal, and for an elementary
+    # abelian P they are all of its subgroups
+    P = sylow(build_group(recipe), p)
+    assert _frattini_subspaces(P, p) == count
+    if P.order() <= SEARCH_ORDER_LIMITS[p] and count < 100:
+        normals = normal_subgroups(P)
+        assert len(normals) >= count
+        if recipe.startswith("elementary_abelian"):
+            assert len(normals) == count
+
+
+def test_lattice_overflow_is_refused_before_any_closure(monkeypatch):
+    # C5^5 has 42,176 subspaces, each a normal subgroup, above the limit
+    import psolv.filtrations
+
+    def refuse(G):
+        raise AssertionError("the normal-subgroup lattice was enumerated")
+
+    monkeypatch.setattr(psolv.filtrations, "normal_subgroups", refuse)
+    P = build_group("elementary_abelian:5:5")
+    assert exhaustive_lattice(P, 5) == (None, "lattice")
+    out = pf_embedded_search(P, 5, P, 1)
+    assert out.status == SearchOutcome.EXHAUSTED
+    assert out.notes == ("normal subgroup enumeration overflowed its cap",)
+    skip, = question7_scan(P, 5)
+    assert skip.notes == ("skipped: the Sylow subgroup's normal subgroup "
+                          "enumeration overflowed its cap",)
 
 
 def test_search_accepts_precomputed_lattice():
