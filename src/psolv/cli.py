@@ -23,7 +23,12 @@ from .catalog import (
     emit_report,
     parse_group,
 )
-from .errors import InternalMismatch, PsolvError, UnsupportedParameters
+from .errors import (
+    GroupParseError,
+    InternalMismatch,
+    PsolvError,
+    UnsupportedParameters,
+)
 from .filtrations import (
     DEFAULT_SEARCH_BUDGET,
     Filtration,
@@ -59,7 +64,13 @@ def _load_group(args):
     if args.recipe is not None:
         return build_group(args.recipe), canonical_recipe(args.recipe)
     with open(args.file, "r", encoding="utf-8") as fh:
-        return parse_group(fh.read()), f"file:{args.file}"
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise GroupParseError(
+                f"the document is not UTF-8: {e.reason} at byte {e.start}"
+            ) from None
+    return parse_group(text), f"file:{args.file}"
 
 
 def _index(text: str, token: str) -> int:

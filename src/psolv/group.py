@@ -73,6 +73,14 @@ class StabilizerChain:
         self.levels[j].gens.append(h)
         for i in range(j + 1):
             self._rebuild_orbit(i)
+        # level i's transversal is an orbit of generators that fix the
+        # earlier base points, so the product is already a lower bound on
+        # the group order, and a group past the cap is refused mid-build
+        n = self.order()
+        if n > DEFAULT_ENUM_CAP:
+            raise CapExceeded(f"group order is at least {n}, more than the "
+                              f"cap of {DEFAULT_ENUM_CAP} elements",
+                              cap=DEFAULT_ENUM_CAP)
 
     def _strip(self, g, start):
         for i in range(start, len(self.levels)):

@@ -59,13 +59,6 @@ def is_normal(G: PermutationGroup, N: PermutationGroup) -> bool:
     return is_subgroup(N, G) and _normalizes(G, N)
 
 
-def conjugate_subgroup(H: PermutationGroup, g: Permutation) -> PermutationGroup:
-    """H^g = g^-1 H g."""
-    if g.degree != H.degree:
-        raise DegreeMismatch("conjugating element has the wrong degree")
-    return PermutationGroup(H.degree, tuple(h.conjugate(g) for h in H.generators))
-
-
 def join(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     """Smallest subgroup containing A and B."""
     _check_degrees(A, B)

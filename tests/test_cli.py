@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -265,6 +267,38 @@ def test_oversized_order_exits_1_before_any_chain(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("psolv: error:")
     assert "order" in err
+
+
+def _run_child(*argv):
+    # the real command line in a child process, so a hang fails the test
+    # through the timeout and a traceback shows up on stderr
+    done = subprocess.run([sys.executable, "-m", "psolv.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_document_group_past_the_cap_fails_during_the_chain_build(tmp_path):
+    # S64 on 64 points, from (1 2) and (1 2 ... 64): the degree is within
+    # the ceiling, and the stabilizer-chain build is stopped once the
+    # orders of its transversals multiply past DEFAULT_ENUM_CAP
+    doc = tmp_path / "s64.json"
+    doc.write_text(json.dumps({"degree": 64, "generators": [
+        [1, 0] + list(range(2, 64)), list(range(1, 64)) + [0]]}))
+    code, out, err = _run_child("analyze", "--file", str(doc), "--p", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("psolv: error:") and err.count("\n") == 1
+    assert "200000" in err
+
+
+def test_document_that_is_not_utf8_exits_1(tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b"\xff\xfe{")
+    code, out, err = _run_child("analyze", "--file", str(doc), "--p", "2")
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("psolv: error:") and err.count("\n") == 1
+    assert "UTF-8" in err
 
 
 def test_bad_group_document_reports_location(tmp_path, capsys):

@@ -8,7 +8,7 @@ from psolv.errors import (
     UnsupportedParameters,
 )
 from psolv.group import PermutationGroup, trivial_group
-from psolv.perm import parse_cycles
+from psolv.perm import Permutation, parse_cycles
 from psolv.series import (
     _core_by_class_closures,
     _sylow_conjugates_intersection,
@@ -27,7 +27,7 @@ from psolv.series import (
     sylow,
     upper_p_series,
 )
-from psolv.subgroups import normal_subgroups, same_subgroup
+from psolv.subgroups import is_subgroup, normal_subgroups, same_subgroup
 
 from oracles import (
     elements_of,
@@ -138,6 +138,56 @@ def test_core_by_intersection_runs_to_the_fixpoint():
     assert got.is_trivial()
     assert frozenset(got.elements()) == sylow_core_set(
         G.elements(), elements_of(sylow(G, 2)))
+
+
+def test_core_by_intersection_returns_a_normal_pn_unenumerated(monkeypatch):
+    # S4 at p = 2 over A4: PN is S4 itself, which every generator
+    # normalizes, so it is returned before any element is listed
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    N = g(4, "(1 2 3)", "(2 3 4)")
+    P = sylow(G, 2)
+
+    def refuse(self):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(PermutationGroup, "elements", refuse)
+    got = _sylow_conjugates_intersection(G, 2, N)
+    assert got.order() == 24
+    assert is_subgroup(P, got) and is_subgroup(N, got)
+
+
+def _affine_on_doubled_points():
+    # 2^8:AGL(2,3) on 18 points: AGL(2,3) acts on F_3^2 with (x, y) at
+    # 3x + y, each point i is doubled into {2i, 2i + 1}, and (0 1)(2 3)
+    # swaps inside the first two pairs; its normal closure is the
+    # even-weight module 2^8
+    def doubled(f):
+        images = [3 * a + b for a, b in (f(x, y) for x in range(3)
+                                         for y in range(3))]
+        return Permutation(tuple(2 * images[i // 2] + i % 2
+                                 for i in range(18)))
+
+    def row_times(m):
+        (a, b), (c, d) = m
+        return lambda x, y: ((x * a + y * c) % 3, (x * b + y * d) % 3)
+
+    gens = [doubled(lambda x, y: ((x + 1) % 3, y))]
+    gens += [doubled(row_times(m)) for m in (((1, 1), (0, 1)),
+                                             ((1, 0), (1, 1)),
+                                             ((2, 0), (0, 1)))]
+    gens.append(Permutation((1, 0, 3, 2) + tuple(range(4, 18))))
+    return PermutationGroup(18, gens)
+
+
+def test_a_group_of_2_length_3():
+    # no catalog group has a p-length above 2; O_2(AGL(2,3)) = 1 and
+    # AGL(2,3) has 2-length 2, so the module 2^8 below it adds a third
+    G = _affine_on_doubled_points()
+    assert G.order() == 110_592
+    rep = upper_p_series(G, 2)
+    assert rep.orders() == [1, 1, 256, 2304, 18432, 55296, 110592]
+    assert rep.is_p_solvable and rep.p_length == 3
+    assert p_length(G, 3) == 2
 
 
 def _p_steps_over_nontrivial(G, p):
