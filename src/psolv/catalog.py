@@ -255,6 +255,13 @@ def _split_top_level(text: str):
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
+            # text inside a product, so depth d means d + 1 nested products;
+            # each adds a leaf, so a deeper recipe cannot fit the degree
+            # ceiling, and refusing it here bounds the recursion
+            if depth >= MAX_DEGREE:
+                raise GroupParseError(
+                    f"products nested more than {MAX_DEGREE} deep",
+                    line=1, column=i + 1)
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -410,14 +417,22 @@ DEFAULT_CATALOG = (
 )
 
 
-def parse_group(text: str) -> PermutationGroup:
-    """Read a group document: {"degree": n, "generators": [[images...]]}
-    with 0-based image lists."""
+def _load_json(text: str):
+    # json.loads, with bad or too deeply nested text as a GroupParseError
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise GroupParseError(f"invalid JSON: {e.msg}", line=e.lineno,
                               column=e.colno) from None
+    except RecursionError:
+        raise GroupParseError("invalid JSON: nested too deeply", line=1,
+                              column=1) from None
+
+
+def parse_group(text: str) -> PermutationGroup:
+    """Read a group document: {"degree": n, "generators": [[images...]]}
+    with 0-based image lists."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise GroupParseError("the document must be a JSON object",
                               location="$")
@@ -542,16 +557,14 @@ def emit_report(reports, fmt: str = "text") -> str:
 
 def parse_report(text: str):
     """Read back a structured report document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GroupParseError(f"invalid JSON: {e.msg}", line=e.lineno,
-                              column=e.colno) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise GroupParseError(f"expected a {REPORT_SCHEMA} document",
                               location="schema")
+    if not isinstance(doc.get("reports"), list):
+        raise GroupParseError("reports must be a list", location="reports")
     out = []
-    for idx, r in enumerate(doc.get("reports", ())):
+    for idx, r in enumerate(doc["reports"]):
         loc = f"reports[{idx}]"
         if not isinstance(r, dict):
             raise GroupParseError("each report must be an object",

@@ -434,12 +434,15 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
 
     A precomputed `normals` lattice (as from normal_subgroups(P)) skips the
     order limit and the enumeration. Without it the lattice comes from
-    normal_subgroups(P), which is computed once per group object.
+    normal_subgroups(P), which is computed once per group object. A
+    negative budget raises UnsupportedParameters; a budget of 0 is legal.
     """
     require_prime(p)
     check_p_group(P, p)
     if ell < 0:
         raise PreconditionViolated("filtration type must be nonnegative")
+    if budget < 0:
+        raise UnsupportedParameters(f"the search budget must be nonnegative, got {budget}")
     notes = [ELL_ZERO_NOTE] if ell == 0 else []
     if N.degree != P.degree or not is_normal(P, N):
         raise PreconditionViolated(

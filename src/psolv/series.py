@@ -21,14 +21,13 @@ from .errors import (
 from .group import PermutationGroup, group_fact, span, trivial_group
 from .perm import Permutation
 from .subgroups import (
-    _conjugation_action,
-    _element_positions,
     _normal_closure_steps,
     _normalizes,
     commutator,
     conjugacy_classes,
     is_subgroup,
     join,
+    normal_core,
     normalizer,
     same_subgroup,
 )
@@ -282,23 +281,10 @@ def _core_by_class_closures(G, p, want_p_group, N):
 
 
 def _sylow_conjugates_intersection(G, p, N):
-    # fixpoint of K -> K meet K^g over the generators g, from PN with P a
-    # Sylow subgroup: the K >= N with K/N = O_p(G/N) lies in every K^g, so it
-    # survives each step. A PN that every generator already normalizes is
-    # returned before anything is enumerated; otherwise K is held as its
-    # positions in G.elements(), and K^g is read through G's cached
-    # conjugation action, until every generator maps K onto itself
+    # the K >= N with K/N = O_p(G/N) is the normal core of PN, P a Sylow
+    # subgroup: PN/N is a Sylow subgroup of G/N, and O_p lies in all of them
     K = sylow(G, p) if N.is_trivial() else join(sylow(G, p), N)
-    if K.order() == N.order() or _normalizes(G, K):
-        return K
-    positions = _element_positions(G)
-    maps = _conjugation_action(G)
-    k = {positions[x.images] for x in K.elements()}
-    last = None
-    while k != last:
-        last, k = k, k.intersection(*({c[i] for i in k} for c in maps))
-    els = G.elements()
-    return span(G.degree, (els[i] for i in k))
+    return K if K.order() == N.order() else normal_core(G, K)
 
 
 def _p_core_modulo(G, p, N):

@@ -143,10 +143,9 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
     return span(N.degree, (x ** q for x in N.elements()))
 
 
-def _conjugate_images(y: Permutation, g: Permutation, g_inv: Permutation) -> tuple:
-    """Images of g^-1 * y * g in one pass, given g_inv = g^-1."""
+def _conjugate_images(yi: tuple, g: Permutation, g_inv: Permutation) -> tuple:
+    """Images of g^-1 * y * g in one pass, given y's images yi and g_inv = g^-1."""
     gi = g.images
-    yi = y.images
     return tuple(gi[yi[w]] for w in g_inv.images)
 
 
@@ -159,49 +158,34 @@ def _conjugation_action(G: PermutationGroup) -> tuple:
     maps = []
     for g in G.generators:
         g_inv = g.inverse()
-        maps.append(array("i", [positions[_conjugate_images(x, g, g_inv)] for x in els]))
+        maps.append(array("i", [positions[_conjugate_images(x.images, g, g_inv)] for x in els]))
     return tuple(maps)
 
 
-def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
-    """N_G(H) as the stabilizer of H in G's conjugation action. H <= G.
-
-    The conjugates of H are walked breadth-first from H under the
-    generators of G, each keyed by the sorted positions of its elements in
-    G.elements() (a key that grows with |H|, not with |G|) and reached by
-    a transversal element u with H^u that conjugate. The key of H^(u*g) is
-    read from the key of H^u through G's cached conjugation action on
-    positions, so no element of H is conjugated after the first key. A
-    conjugate reached again by w, first reached by v, gives the Schreier
-    generator w * v^-1 of N_G(H); it is kept only when it lies outside the
-    group built so far, which starts at H (Schreier's lemma; Sims 1970).
-    The result is checked by orbit-stabilizer, |N| * |orbit| == |G|, and a
-    mismatch raises InternalMismatch. Raises ValueError unless H <= G.
-    """
-    if not is_subgroup(H, G):
-        raise ValueError("subgroup is not contained in the group")
-    positions = _element_positions(G)
-    moves = tuple(zip(G.generators, _conjugation_action(G)))
-    ngens = list(H.generators)
-    N = H
-    e = identity(G.degree)
-    key = tuple(sorted(positions[h.images] for h in H.elements()))
-    orbit = {key: e}
-    queue = deque([(e, key)])
-    while queue:
-        u, key = queue.popleft()
-        for g, c in moves:
-            w = u * g
-            wkey = tuple(sorted([c[i] for i in key]))
-            v = orbit.get(wkey)
-            if v is None:
-                orbit[wkey] = w
-                queue.append((w, wkey))
-                continue
-            s = w * v.inverse()
-            if not N.contains(s):
-                ngens.append(s)
-                N = PermutationGroup(G.degree, ngens)
+def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> PermutationGroup:
+    """The stabilizer in G of point, grown from seed; act(x, i) is x's image
+    under the i-th generator of G. Schreier generators of the walked orbit
+    (Sims 1970) join while outside the group so far, until its order is
+    |G| / |orbit|; running out below that raises InternalMismatch."""
+    transversal = {point: identity(G.degree)}
+    orbit = [(point, transversal[point])]
+    edges = []  # (u_x, g, x^g): u_x * g * u_(x^g)^-1 fixes point
+    for x, u in orbit:
+        for i, g in enumerate(G.generators):
+            y = act(x, i)
+            if y in transversal:
+                edges.append((u, g, y))
+            else:
+                transversal[y] = u * g
+                orbit.append((y, transversal[y]))
+    N, ngens = seed, list(seed.generators)
+    for u, g, y in edges:
+        if N.order() * len(orbit) == G.order():
+            break
+        s = u * g * transversal[y].inverse()
+        if not N.contains(s):
+            ngens.append(s)
+            N = PermutationGroup(G.degree, ngens)
     if N.order() * len(orbit) != G.order():
         raise InternalMismatch(
             f"stabilizer order {N.order()} times orbit length {len(orbit)} "
@@ -209,13 +193,43 @@ def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     return span(G.degree, N.elements())
 
 
+def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
+    """N_G(H), the stabilizer of H under conjugation by G, grown from H. A
+    conjugate is keyed by its sorted positions in G.elements(), read through
+    G's cached conjugation action. Raises ValueError unless H <= G."""
+    if not is_subgroup(H, G):
+        raise ValueError("subgroup is not contained in the group")
+    positions = _element_positions(G)
+    maps = _conjugation_action(G)
+    key = tuple(sorted(positions[h.images] for h in H.elements()))
+    return _stabilizer(G, H, key, lambda k, i: tuple(sorted([maps[i][j] for j in k])))
+
+
 def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
-    """C_G(S) by scanning every element of G."""
+    """C_G(S), the stabilizer of S's generators under conjugation by G.
+    S need not lie in G."""
     _check_degrees(G, S)
-    sgens = S.generators
-    keep = [g for g in G.elements()
-            if all((s * g) == (g * s) for s in sgens)]
-    return span(G.degree, keep)
+    moves = [(g, g.inverse()) for g in G.generators]
+    return _stabilizer(G, trivial_group(G.degree), tuple(s.images for s in S.generators),
+                       lambda t, i: tuple(_conjugate_images(y, *moves[i]) for y in t))
+
+
+def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
+    """The largest normal subgroup of G inside H, returned before anything is
+    enumerated when G normalizes H; else H's positions in G.elements() are
+    intersected with their images under G's cached conjugation action until
+    every generator maps them onto themselves. ValueError unless H <= G."""
+    if not is_subgroup(H, G):
+        raise ValueError("subgroup is not contained in the group")
+    if _normalizes(G, H):
+        return H
+    positions = _element_positions(G)
+    maps = _conjugation_action(G)
+    k = {positions[x.images] for x in H.elements()}
+    last = None
+    while k != last:
+        last, k = k, k.intersection(*({c[i] for i in k} for c in maps))
+    return span(G.degree, map(G.elements().__getitem__, k))
 
 
 def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:

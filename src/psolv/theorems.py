@@ -13,7 +13,12 @@ such fact has one implementation and shares G's cached cores.
 
 from __future__ import annotations
 
-from .errors import InternalMismatch, NotPSolvable, PreconditionViolated
+from .errors import (
+    InternalMismatch,
+    NotPSolvable,
+    PreconditionViolated,
+    UnsupportedParameters,
+)
 from .filtrations import (
     DEFAULT_SEARCH_BUDGET,
     Filtration,
@@ -424,6 +429,8 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
     require_prime(p)
     if ell < 0:
         raise PreconditionViolated("the type must be nonnegative")
+    if budget < 0:
+        raise UnsupportedParameters(f"the search budget must be nonnegative, got {budget}")
     base_params = {"p": p, "ell": ell, "group_order": G.order()}
     if not is_p_solvable(G, p):
         return [Verdict.skip("question7", base_params,

@@ -299,6 +299,17 @@ def test_report_structured_round_trip():
     assert back[0].timing is None
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema": "psolv-report/1", "reports": 5}',
+    '{"schema": "psolv-report/1", "reports": {"a": 1}}',
+    '{"schema": "psolv-report/1"}',
+    '{"schema": "psolv-report/1", "reports": ' + "[" * 1000 + "]" * 1000 + "}",
+])
+def test_parse_report_rejects_malformed_documents(text):
+    with pytest.raises(GroupParseError):
+        parse_report(text)
+
+
 def test_report_finding_is_flagged_in_text():
     rep = Report(TOOL_VERSION, "cyclic:4", "prop3",
                  {"statement": "prop3", "hypothesis_holds": True,

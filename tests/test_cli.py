@@ -301,6 +301,58 @@ def test_document_that_is_not_utf8_exits_1(tmp_path):
     assert "UTF-8" in err
 
 
+def _nested_product(depth):
+    recipe = "cyclic:1"
+    for _ in range(depth):
+        recipe = f"product({recipe},cyclic:1)"
+    return recipe
+
+
+def _one_error_line(code, out, err):
+    return (code == 1 and out == "" and "Traceback" not in err
+            and err.startswith("psolv: error:") and err.count("\n") == 1)
+
+
+def test_deeply_nested_recipe_exits_1():
+    code, out, err = _run_child("analyze", "--recipe", _nested_product(500),
+                                "--p", "2")
+    assert _one_error_line(code, out, err), err
+    assert "nested" in err
+    # one level within the limit still fails, on the degree ceiling
+    code, out, err = _run_child("analyze", "--recipe", _nested_product(256),
+                                "--p", "2")
+    assert _one_error_line(code, out, err), err
+    assert "257 points" in err
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deeply_nested_document_exits_1(tmp_path, depth):
+    # how deep json.loads goes before it gives up depends on the Python
+    # version; past that, the document is refused as nested too deeply
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"degree": 2, "generators": ' + "[" * depth + "]" * depth
+                   + "}")
+    code, out, err = _run_child("analyze", "--file", str(doc), "--p", "2")
+    assert _one_error_line(code, out, err), err
+    if depth == 100_000:
+        assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pf", "search", "--recipe", "dihedral:4", "--p", "2", "--normal", "full",
+     "--search-budget", "-5"),
+    ("scan", "question7", "--recipe", "dihedral:4", "--p", "2",
+     "--search-budget", "-1"),
+    # a group the scan skips still has its budget checked
+    ("scan", "question7", "--recipe", "alternating:5", "--p", "2",
+     "--search-budget", "-1"),
+])
+def test_negative_search_budget_exits_1(argv):
+    code, out, err = _run_child(*argv)
+    assert _one_error_line(code, out, err), err
+    assert "search budget" in err
+
+
 def test_bad_group_document_reports_location(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text('{"degree": 3, "generators": [[0, 1]]}')

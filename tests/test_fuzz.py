@@ -1,0 +1,216 @@
+"""Malformed input never escapes the command line as an exception.
+
+Group documents, recipe text and subgroup tokens are drawn from small
+grammars, then cut and mangled, and run through psolv.cli.main in-process
+on `analyze` and `pf verify`. Every run must end with exit code 0 or 1:
+an exception that escapes, or a finding (2) on these tiny groups, fails.
+The draws are derandomized, and recipes are bounded by order so nothing
+large gets built.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import psolv.cli as cli
+from psolv.catalog import _KINDS, _read, parse_recipe
+from psolv.errors import GroupParseError
+
+# the largest group a drawn recipe may name; S5 and the order-125 groups fit
+ORDER_LIMIT = 200
+
+SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
+                    database=None)
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 1), (argv, code, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("psolv: error:"), err.getvalue()
+    return code
+
+
+def _nested_product(depth):
+    recipe = "cyclic:1"
+    for _ in range(depth):
+        recipe = f"product({recipe},cyclic:1)"
+    return recipe
+
+
+def _mangled(text, draw):
+    # keep the text (half the time), cut it short, or splice in a few
+    # grammar characters
+    how = draw(st.sampled_from(("keep", "keep", "cut", "splice")))
+    if how == "keep" or not text:
+        return text
+    i = draw(st.integers(0, len(text)))
+    if how == "cut":
+        return text[:i]
+    return text[:i] + draw(st.text('[]{}(),:;"-0123456789 ', max_size=4)) + text[i:]
+
+
+# --- group documents -------------------------------------------------------
+
+_json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.text("ab1", max_size=3))
+
+
+@st.composite
+def group_documents(draw):
+    # a valid document, then at most one fault in its structure, then
+    # possibly a fault in its text
+    degree = draw(st.integers(1, 6))
+    perms = st.permutations(range(degree)).map(list)
+    doc = {"degree": degree, "generators": draw(st.lists(perms, max_size=3))}
+    fault = draw(st.sampled_from((None, None, "degree", "generators",
+                                  "generator", "drop", "top")))
+    if fault in ("degree", "generators"):
+        doc[fault] = draw(_json_scalar)
+    elif fault == "generator":
+        doc["generators"].append(draw(st.one_of(
+            st.lists(st.integers(-1, 7), max_size=7), _json_scalar)))
+    elif fault == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "top":
+        doc = draw(st.one_of(st.lists(_json_scalar, max_size=2), _json_scalar))
+    return _mangled(json.dumps(doc), draw)
+
+
+def _write(path, content):
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(content)
+
+
+@SETTINGS
+@given(content=st.one_of(group_documents(), st.binary(max_size=48)),
+       p=st.sampled_from(("2", "3", "5", "4")))
+# hypothesis runs a test with about 2,000 free stack frames, so the nesting
+# in these examples goes well past that
+@example(content='{"degree": 2, "generators": ' + "[" * 100_000 + "]" * 100_000
+         + "}", p="2")
+@example(content=b"\xff\xfe{", p="2")
+def test_group_documents_exit_0_or_1(content, p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        _write(path, content)
+        _main("analyze", f"--file={path}", f"--p={p}")
+        _main("pf", "verify", f"--file={path}", f"--p={p}", "--ell=1",
+              "--term=full")
+
+
+# --- recipe text -----------------------------------------------------------
+
+_ARGS = {int: st.one_of(st.integers(1, 7), st.integers(-1, 9)),
+         str: st.sampled_from(("plus", "minus", "x"))}
+
+
+def _order(node):
+    # the order the table gives, 1 when the arguments are not its kind's
+    try:
+        return _read(node, "order")
+    except (KeyError, TypeError, ValueError):
+        return 1
+
+
+@st.composite
+def _leaf(draw):
+    kind = draw(st.sampled_from(sorted(_KINDS) + ["bogus"]))
+    types = _KINDS[kind].arg_types if kind in _KINDS else (int,)
+    if not draw(st.integers(0, 5)):  # the wrong number of arguments
+        types = types + (int,) if draw(st.booleans()) else types[1:]
+    args = [draw(_ARGS[t]) for t in types]
+    node = (kind, args)
+    if kind in _KINDS and len(args) == len(_KINDS[kind].arg_types) \
+            and _order(node) > ORDER_LIMIT:
+        node = ("cyclic", [draw(st.integers(1, 9))])
+    return node
+
+
+@st.composite
+def _tree(draw, depth):
+    if depth == 0 or draw(st.booleans()):
+        return draw(_leaf())
+    a, b = draw(_tree(depth - 1)), draw(_tree(depth - 1))
+    # a product past the limit keeps only its first factor
+    if _order(a) * _order(b) > ORDER_LIMIT:
+        return a
+    return ("product", [a, b])
+
+
+def _render(node):
+    kind, args = node
+    if kind == "product":
+        return f"product({_render(args[0])},{_render(args[1])})"
+    return ":".join([kind] + [str(a) for a in args])
+
+
+@st.composite
+def recipes(draw):
+    return _mangled(_render(draw(_tree(3))), draw)
+
+
+def _small(recipe):
+    # a recipe that parses must name a small group, so nothing large runs
+    try:
+        node = parse_recipe(recipe)
+    except GroupParseError:
+        return True
+    return _order(node) <= ORDER_LIMIT
+
+
+@SETTINGS
+@given(recipe=st.one_of(recipes(), st.text("product(),:cyli 0123456789",
+                                           max_size=16)),
+       p=st.sampled_from(("2", "3", "5", "1")))
+@example(recipe=_nested_product(2100), p="2")
+@example(recipe=_nested_product(256), p="2")
+def test_recipes_exit_0_or_1(recipe, p):
+    hypothesis.assume(_small(recipe))
+    _main("analyze", f"--recipe={recipe}", f"--p={p}")
+    _main("pf", "verify", f"--recipe={recipe}", f"--p={p}", "--ell=1",
+          "--term=sylow")
+
+
+# --- subgroup tokens -------------------------------------------------------
+
+_index = st.integers(-2, 6).map(str)
+_cycles = st.lists(st.lists(st.integers(0, 9).map(str), max_size=4)
+                   .map(lambda xs: "(" + " ".join(xs) + ")"),
+                   max_size=3).map("".join)
+
+tokens = st.one_of(
+    st.sampled_from(("trivial", "full", "V4", "sylow", "op", "opprime")),
+    st.builds("gamma:{}".format, _index),
+    st.builds("ekr:{}:{}".format, _index, _index),
+    st.builds("ekr:{}".format, _index),
+    st.builds("gens:{}".format, st.lists(_cycles, max_size=3).map(";".join)),
+    st.text("gamekrsn:;()0123 -", max_size=10),
+)
+
+
+@SETTINGS
+@given(recipe=st.sampled_from(("dihedral:4", "symmetric:4", "cyclic:8",
+                               "extraspecial:2:plus", "symmetric:3")),
+       terms=st.lists(tokens, min_size=1, max_size=3),
+       ell=st.integers(-1, 2))
+def test_subgroup_tokens_exit_0_or_1(recipe, terms, ell):
+    _main("pf", "verify", f"--recipe={recipe}", "--p=2", f"--ell={ell}",
+          *(f"--term={t}" for t in terms))

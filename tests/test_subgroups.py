@@ -16,6 +16,7 @@ from psolv.subgroups import (
     iterated_commutator,
     join,
     normal_closure,
+    normal_core,
     normal_subgroups,
     normalizer,
     power_subgroup,
@@ -31,7 +32,9 @@ from oracles import (
     normal_subgroup_sets,
     normalizer_set,
     power_set,
+    sylow_core_set,
 )
+from psolv.group import span
 
 
 def g(degree, *cycle_texts):
@@ -132,6 +135,76 @@ def test_centralizer_against_enumeration():
         got = as_set(centralizer(G, S))
         want = centralizer_set(elements_of(G), elements_of(S))
         assert got == want
+
+
+def test_centralizer_of_a_subgroup_outside_the_group():
+    # S need not lie in G: C_G(S) is still every g of G commuting with S
+    D10 = build_group("dihedral:5")
+    for G, S in [(A4, g(4, "(1 2)")), (D8, g(4, "(1 2 3)")),
+                 (D10, g(5, "(1 2)")), (C4, g(4, "(1 3)"))]:
+        assert not is_subgroup(S, G)
+        got = as_set(centralizer(G, S))
+        assert got == centralizer_set(elements_of(G), elements_of(S))
+    assert as_set(centralizer(A4, trivial_group(4))) == elements_of(A4)
+
+
+def _point_stabilizer(G, point):
+    return span(G.degree, [x for x in G.elements() if x.images[point] == point])
+
+
+@pytest.mark.parametrize("gid", ["symmetric:4", "symmetric:5", "alternating:5",
+                                 "dihedral:6", "gl2:3", "affine:7",
+                                 "wreath_cyclic:2:3", "product(symmetric:3,cyclic:3)"])
+def test_normal_core_of_point_stabilizers(gid):
+    G = build_group(gid)
+    els = elements_of(G)
+    for point in (0, G.degree - 1):
+        H = _point_stabilizer(G, point)
+        got = normal_core(G, H)
+        assert as_set(got) == sylow_core_set(els, elements_of(H)), (gid, point)
+        assert is_normal(G, got)
+
+
+def test_normal_core_of_subgroups_that_are_not_sylow():
+    # D8 in S4 has core V4, <(1 2)> has core 1, A4 and V4 are normal
+    cases = [(S4, D8, 4), (S4, g(4, "(1 2)"), 1), (S4, g(4, "(1 2 3)"), 1),
+             (S4, A4, 12), (S4, V4, 4), (D8, g(4, "(1 3)"), 1),
+             (D8, V4, 4), (S3, g(3, "(1 2)"), 1)]
+    for G, H, order in cases:
+        got = normal_core(G, H)
+        assert got.order() == order
+        assert as_set(got) == sylow_core_set(elements_of(G), elements_of(H))
+    with pytest.raises(ValueError):
+        normal_core(build_group("dihedral:5"), g(5, "(1 2)"))
+
+
+def test_normal_core_of_a_normal_subgroup_enumerates_nothing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a group was enumerated")
+
+    G, H = g(4, "(1 2)", "(1 2 3 4)"), g(4, "(1 2 3)", "(2 3 4)")
+    monkeypatch.setattr(PermutationGroup, "elements", refuse)
+    assert normal_core(G, H) is H
+    with pytest.raises(AssertionError):
+        normal_core(G, g(4, "(1 2 3 4)", "(1 3)"))
+
+
+def test_sylow_of_s8_stops_its_stabilizers_at_the_target_order(monkeypatch):
+    # the Schreier generators stop once the stabilizer reaches
+    # |G| / |orbit|; walking them all made 3,451 membership tests here
+    import psolv.series
+    G = build_group("symmetric:8")
+    G.elements()
+    calls = []
+    contains = PermutationGroup.contains
+
+    def counted(self, x):
+        calls.append(1)
+        return contains(self, x)
+
+    monkeypatch.setattr(PermutationGroup, "contains", counted)
+    assert psolv.series.sylow(G, 2).order() == 128
+    assert len(calls) <= 2300
 
 
 def test_normalizer_against_enumeration(monkeypatch):

@@ -1,12 +1,18 @@
-"""The upper p-series checked against an oracle built on sympy.
+"""psolv checked against sympy, on groups nobody picked by hand.
 
 psolv finds each p-core by two routes of its own and cross-checks them.
-The oracle here shares no code with either: it reads cores off normal
-closures computed by sympy.combinatorics, using only its normal_closure,
-order and contains. Every x of G lies in the normal subgroup
+The upper p-series oracle here shares no code with either: it reads cores
+off normal closures computed by sympy.combinatorics, using only its
+normal_closure, order and contains. Every x of G lies in the normal subgroup
 <N, x>^G, so for N normal in G the K >= N with K/N = O_p(G/N) is the join
 of the closures <N, x>^G whose index over N is a power of p, and O_p'(G/N)
 is the same join with the index prime to p.
+
+Centralizers, class sizes, the derived and lower central series and normal
+closures are compared with sympy's own. sympy has no normalizer or normal
+core, so those are compared with the brute-force sets of tests/oracles.py.
+Both comparisons run on the catalog groups of order at most 200 and on
+derandomized hypothesis groups on at most 6 points.
 """
 
 import pytest
@@ -20,9 +26,14 @@ from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from psolv.catalog import DEFAULT_CATALOG, build_group
-from psolv.group import PermutationGroup
+from psolv.group import PermutationGroup, span
 from psolv.perm import Permutation
-from psolv.series import upper_p_series
+from psolv.series import (derived_series, lower_central_series, sylow,
+                          upper_p_series)
+from psolv.subgroups import (centralizer, conjugacy_classes, normal_closure,
+                             normal_core, normalizer)
+
+from oracles import elements_of, normalizer_set, sylow_core_set
 
 
 def _to_sympy(G):
@@ -122,3 +133,64 @@ def small_groups(draw):
 @hypothesis.given(G=small_groups(), p=st.sampled_from((2, 3, 5)))
 def test_upper_p_series_of_small_groups_against_sympy(G, p):
     assert upper_p_series(G, p).orders() == oracle_upper_p_series_orders(G, p)
+
+
+def _distinct(orders):
+    # psolv keeps a repeated nontrivial last term, sympy does not
+    return [n for i, n in enumerate(orders) if i == 0 or n != orders[i - 1]]
+
+
+def _subgroups_to_check(G):
+    # Sylow subgroups, the cyclic subgroups of a few class representatives,
+    # and the stabilizer of the first point
+    els = G.elements()
+    out = [sylow(G, p) for p in (2, 3, 5) if G.order() % p == 0]
+    out += [span(G.degree, [cls[0]]) for cls in conjugacy_classes(G)[1:4]]
+    out.append(span(G.degree, [x for x in els if x.images[0] == 0]))
+    return out
+
+
+def _outside(G):
+    # a transposition or a full cycle that does not lie in G, if there is one
+    n = G.degree
+    for images in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0]):
+        if n > 1 and not G.contains(Permutation(tuple(images))):
+            return PermutationGroup(n, [Permutation(tuple(images))])
+    return None
+
+
+def _check_against_references(G):
+    S, _ = _to_sympy(G)
+    assert sorted(len(c) for c in conjugacy_classes(G)) == \
+        sorted(len(c) for c in S.conjugacy_classes())
+    assert _distinct(derived_series(G).orders()) == \
+        _distinct([H.order() for H in S.derived_series()])
+    assert _distinct(lower_central_series(G).orders()) == \
+        _distinct([H.order() for H in S.lower_central_series()])
+    for cls in conjugacy_classes(G):
+        x = cls[0]
+        assert normal_closure(G, PermutationGroup(G.degree, [x])).order() == \
+            S.normal_closure(SympyPermutation(list(x.images))).order()
+    els = elements_of(G)
+    subgroups = _subgroups_to_check(G)
+    outside = _outside(G)
+    for H in subgroups + ([outside] if outside is not None else []):
+        assert centralizer(G, H).order() == S.centralizer(_to_sympy(H)[0]).order()
+    for H in subgroups:
+        h_els = elements_of(H)
+        assert frozenset(normalizer(G, H).elements()) == \
+            normalizer_set(G.degree, els, h_els)
+        assert frozenset(normal_core(G, H).elements()) == \
+            sylow_core_set(els, h_els)
+
+
+@pytest.mark.parametrize("gid", SMALL_CATALOG)
+def test_catalog_groups_against_references(gid):
+    _check_against_references(build_group(gid))
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None,
+                     database=None)
+@hypothesis.given(G=small_groups())
+def test_small_groups_against_references(G):
+    _check_against_references(G)
