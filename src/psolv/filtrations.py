@@ -174,8 +174,8 @@ def verify_potent_filtration(F: Filtration) -> PFVerdict:
     notes = (ELL_ZERO_NOTE,) if ell == 0 else ()
 
     for i in range(1, k):
-        if not is_subgroup(terms[i], terms[i - 1]):
-            w = _first_outside(terms[i], terms[i - 1])
+        w = _first_outside(terms[i], terms[i - 1])
+        if w is not None:
             return PFVerdict(False, 1, i + 1, w, notes)
 
     if not terms[-1].is_trivial():

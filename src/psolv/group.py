@@ -15,6 +15,7 @@ from .errors import CapExceeded, DegreeMismatch
 from .perm import Permutation, identity
 
 DEFAULT_ENUM_CAP = 200_000
+_SELF = object()  # kept in G._facts for a group_fact value that is G itself
 
 
 class _Level:
@@ -215,7 +216,8 @@ def group_fact(fn):
 
     The value is kept in G._facts under (fn, args), so later calls return
     the very same object. Arguments are positional only, with no defaults,
-    so each value has one key. A call that raises stores nothing. Only for
+    so each value has one key. A call that raises stores nothing. A value
+    that is G itself is kept as a marker, not as a reference to G. Only for
     pure functions of a group whose value is safe to share.
     """
 
@@ -223,27 +225,37 @@ def group_fact(fn):
     def cached(G, *args):
         key = (fn, args)
         try:
-            return G._facts[key]
+            value = G._facts[key]
         except KeyError:
-            value = G._facts[key] = fn(G, *args)
+            value = fn(G, *args)
+            G._facts[key] = _SELF if value is G else value
             return value
+        return G if value is _SELF else value
 
     return cached
 
 
-def span(degree: int, elements) -> PermutationGroup:
+def _grow(G: PermutationGroup, elements, order=None) -> PermutationGroup:
+    """G with each element outside the group so far adjoined in turn, in
+    the order given, stopping as soon as the group's order reaches order.
+    The generators are G's followed by the adjoined elements."""
+    gens = list(G.generators)
+    for x in elements:
+        if order is not None and G.order() >= order:
+            break
+        if not G.contains(x):
+            gens.append(x)
+            G = PermutationGroup(G.degree, gens)
+    return G
+
+
+def span(degree: int, elements, order=None) -> PermutationGroup:
     """Group generated by the given elements, with a reduced generator list.
 
     Elements are taken in sorted image order and kept only when they add
     something, so the result is deterministic and its generator count stays
-    logarithmic in the group order.
+    logarithmic in the group order. When the elements are known to form a
+    subgroup, pass their number as order: sifting stops once it is reached,
+    and the generators are the same, since every later element lies inside.
     """
-    gens = []
-    G = PermutationGroup(degree, ())
-    for x in sorted(set(elements), key=lambda p: p.images):
-        if x.is_identity():
-            continue
-        if not G.contains(x):
-            gens.append(x)
-            G = PermutationGroup(degree, gens)
-    return G
+    return _grow(trivial_group(degree), sorted(set(elements), key=lambda p: p.images), order)

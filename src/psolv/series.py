@@ -150,7 +150,8 @@ def _exponent_modulo(H: PermutationGroup, N: PermutationGroup) -> int:
 
 
 def _prime_power(n: int):
-    # returns (p, k) when n == p**k with k >= 1, else None
+    # returns (p, k) when n == p**k with k >= 1, else None; trial division
+    # up to the square root, so only for group orders, never for a given p
     if n < 2:
         return None
     p = 2
@@ -168,8 +169,35 @@ def _prime_power(n: int):
     return (p, k) if n == 1 else None
 
 
+# Miller-Rabin over these bases decides primality exactly below 2**64
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    return _prime_power(p) == (p, 1)
+    """Exact primality for p below 2**64, by Miller-Rabin over the prime
+    bases 2 to 37; a larger p raises UnsupportedParameters."""
+    if p >= 1 << 64:
+        raise UnsupportedParameters(f"p must be below 2**64, got {p}")
+    if p < 2:
+        return False
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def require_prime(p: int):
@@ -208,24 +236,16 @@ def element_p_part(x: Permutation, p: int) -> Permutation:
     return x ** (o // _p_part(o, p))
 
 
+@group_fact
 def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, grown through normalizers.
 
     A p-group is its own Sylow subgroup: G itself is returned, so the two
-    share one set of cached facts and one normal-subgroup lattice. For any
-    other group the value is computed once per group object and prime.
+    share one set of cached facts and one normal-subgroup lattice.
     """
     require_prime(p)
     if is_p_group(G, p):
         return G
-    return _grown_sylow(G, p)
-
-
-# only asked of a group that is not a p-group: sylow() answers for a
-# p-group itself, because a cached value equal to G would be a reference
-# cycle through G._facts
-@group_fact
-def _grown_sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     # a p-subgroup S below full size always has a p-element of N_G(S)
     # outside S (any x with x^p in S is one), so each pass over the
     # normalizer extends S and the loop is deterministic with no restarts

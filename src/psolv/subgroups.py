@@ -12,7 +12,7 @@ from array import array
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
-from .group import PermutationGroup, group_fact, span, trivial_group
+from .group import PermutationGroup, _grow, group_fact, span, trivial_group
 from .perm import Permutation, identity
 
 NORMAL_SUBGROUP_LIMIT = 20_000
@@ -32,7 +32,7 @@ def _element_positions(G: PermutationGroup) -> dict:
 def is_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
     """True when A <= B."""
     _check_degrees(A, B)
-    return all(B.contains(g) for g in A.generators)
+    return _first_outside(A, B) is None
 
 
 def _first_outside(A: PermutationGroup, B: PermutationGroup):
@@ -86,9 +86,9 @@ def _normal_closure_steps(G: PermutationGroup, S: PermutationGroup):
         x = queue.popleft()
         for g in G.generators:
             y = x.conjugate(g)
-            if not K.contains(y):
-                gens.append(y)
-                K = PermutationGroup(G.degree, gens)
+            grown = _grow(K, [y])
+            if grown is not K:
+                K = grown
                 queue.append(y)
                 yield K
 
@@ -178,19 +178,13 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
             else:
                 transversal[y] = u * g
                 orbit.append((y, transversal[y]))
-    N, ngens = seed, list(seed.generators)
-    for u, g, y in edges:
-        if N.order() * len(orbit) == G.order():
-            break
-        s = u * g * transversal[y].inverse()
-        if not N.contains(s):
-            ngens.append(s)
-            N = PermutationGroup(G.degree, ngens)
+    N = _grow(seed, (u * g * transversal[y].inverse() for u, g, y in edges),
+              G.order() // len(orbit))
     if N.order() * len(orbit) != G.order():
         raise InternalMismatch(
             f"stabilizer order {N.order()} times orbit length {len(orbit)} "
             f"disagrees with group order {G.order()}")
-    return span(G.degree, N.elements())
+    return span(G.degree, N.elements(), N.order())
 
 
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
@@ -229,14 +223,15 @@ def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     last = None
     while k != last:
         last, k = k, k.intersection(*({c[i] for i in k} for c in maps))
-    return span(G.degree, map(G.elements().__getitem__, k))
+    return span(G.degree, map(G.elements().__getitem__, k), len(k))
 
 
 def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     """A intersected with B, enumerating the smaller of the two."""
     _check_degrees(A, B)
     small, other = (A, B) if A.order() <= B.order() else (B, A)
-    return span(A.degree, (x for x in small.elements() if other.contains(x)))
+    common = [x for x in small.elements() if other.contains(x)]
+    return span(A.degree, common, len(common))
 
 
 class QuotientGroup:

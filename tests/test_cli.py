@@ -269,11 +269,11 @@ def test_oversized_order_exits_1_before_any_chain(capsys, monkeypatch):
     assert "order" in err
 
 
-def _run_child(*argv):
+def _run_child(*argv, timeout=60):
     # the real command line in a child process, so a hang fails the test
     # through the timeout and a traceback shows up on stderr
     done = subprocess.run([sys.executable, "-m", "psolv.cli", *argv],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -398,3 +398,25 @@ def test_seed_flag_overrides_env(capsys, monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["catalog", "run", "--p", "2", "--seed", "9"])
     assert args.seed == 9
+
+
+def test_a_huge_prime_is_decided_at_once():
+    # a prime near 10**17, whose square root is far too large for trial
+    # division; Miller-Rabin answers at once
+    code, out, err = _run_child("analyze", "--recipe", "cyclic:2",
+                                "--p", "100000000000000003", timeout=20)
+    assert code == 0, err
+    assert "p=100000000000000003" in out
+
+
+@pytest.mark.parametrize("p, reason", [
+    ("1000000000000000001", "prime"),  # 101 * 9901 * 999999000001
+    ("18446744073709551629", "2**64"),  # 2**64 + 13, past the exact range
+])
+def test_a_huge_p_that_is_not_accepted_exits_1(p, reason):
+    code, out, err = _run_child("analyze", "--recipe", "cyclic:2", "--p", p,
+                                timeout=20)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("psolv: error:") and err.count("\n") == 1
+    assert reason in err

@@ -1,9 +1,10 @@
 import gc
+import weakref
 
 import pytest
 
 from psolv.errors import CapExceeded, DegreeMismatch
-from psolv.group import PermutationGroup, span, trivial_group
+from psolv.group import PermutationGroup, group_fact, span, trivial_group
 from psolv.perm import identity, parse_cycles
 
 from oracles import elements_of
@@ -78,6 +79,27 @@ def test_span():
     H = span(4, [parse_cycles("(1 2)(3 4)", 4),
                  parse_cycles("(1 3)(2 4)", 4)])
     assert H.order() == 4
+
+
+def test_a_fact_equal_to_its_group_leaves_no_reference_cycle():
+    class Watched(PermutationGroup):
+        pass  # a subclass without __slots__ can be weakly referenced
+
+    @group_fact
+    def itself(G):
+        return G
+
+    gc.disable()
+    try:
+        G = Watched(3, [parse_cycles("(1 2 3)", 3)])
+        assert itself(G) is G
+        assert itself(G) is G
+        ref = weakref.ref(G)
+        del G
+        # freed by reference counting alone, with the collector off
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_no_generators_is_trivial():

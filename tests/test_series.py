@@ -11,6 +11,7 @@ from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import Permutation, parse_cycles
 from psolv.series import (
     _core_by_class_closures,
+    _prime_power,
     _sylow_conjugates_intersection,
     derived_series,
     exponent,
@@ -312,6 +313,17 @@ def test_is_p_group():
     assert is_p_group(C9, 3)
     assert not is_p_group(S3, 2)
     assert not is_p_group(S3, 3)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert ([n for n in range(5000) if is_prime(n)]
+            == [n for n in range(5000) if _prime_power(n) == (n, 1)])
+    # strong pseudoprimes to the bases up to 7 and up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 64 - 59)  # the largest prime below 2**64
+    with pytest.raises(UnsupportedParameters):
+        is_prime(2 ** 64 + 13)
 
 
 def test_primality_helpers():

@@ -261,6 +261,26 @@ def test_intersect():
     assert as_set(intersect(D8, C4)) == (elements_of(D8) & elements_of(C4))
 
 
+def test_intersect_stops_sifting_once_the_common_order_is_reached(monkeypatch):
+    # the common elements already form a subgroup, so its span stops once
+    # their number is reached; sifting all of them would take one
+    # membership test per element of the smaller group and one per
+    # nonidentity common element
+    G = build_group("symmetric:5")
+    common = G.elements()
+    calls = [0]
+    contains = PermutationGroup.contains
+
+    def counted(self, x):
+        calls[0] += 1
+        return contains(self, x)
+
+    monkeypatch.setattr(PermutationGroup, "contains", counted)
+    K = intersect(G, G)
+    assert calls[0] < len(common) + len(common) - 1
+    assert K.generators == span(5, common).generators
+
+
 def test_join():
     J = join(g(4, "(1 2)"), g(4, "(3 4)"))
     assert J.order() == 4
