@@ -21,7 +21,7 @@ from .filtrations import (
 )
 from .linear import FpMatrix, LinearAction, unipotency_degree
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
-from .subgroups import normal_subgroups, quotient, same_subgroup
+from .subgroups import normal_subgroups, same_subgroup
 from .theorems import (
     analyze_group,
     check_O24_inclusion,
@@ -46,12 +46,8 @@ LINEAR_GROUP_LIMIT = 500
 
 def _search_starts(normals):
     """Smallest few plus the largest two; ascending, no duplicates."""
-    picked = list(normals[:SEARCH_INSTANCE_CAP - 2]) + list(normals[-2:])
-    seen = []
-    for N in picked:
-        if not any(M is N for M in seen):
-            seen.append(N)
-    return seen
+    head = SEARCH_INSTANCE_CAP - 2
+    return normals[:head] + normals[max(head, len(normals) - 2):]
 
 
 def _same_chain(F1, F2):
@@ -139,7 +135,7 @@ def _linear_action_verdict(G, gid, p, seed):
     if V.is_trivial():
         return None
     try:
-        action = LinearAction(quotient(G, V), p)
+        action = LinearAction(G, V, p)
     except KernelNotElementaryAbelian:
         return None
     rng = random.Random(f"{seed}:{gid}:{p}:linear")

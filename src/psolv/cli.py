@@ -32,8 +32,8 @@ from .errors import (
 from .filtrations import (
     DEFAULT_SEARCH_BUDGET,
     Filtration,
+    _ekr_pieces,
     compute_ekr,
-    ekr_terms,
     pf_embedded_search,
     verify_potent_filtration,
 )
@@ -165,8 +165,7 @@ def _cmd_analyze(args):
 def _cmd_ekr(args):
     G, gid = _load_group(args)
     P = sylow(G, args.p)
-    E = compute_ekr(P, args.p, args.k, args.r)
-    pieces = ekr_terms(P, args.p, args.k, args.r)
+    E, pieces = _ekr_pieces(P, args.p, args.k, args.r)
     payload = {
         "group_id": gid,
         "p": args.p,

@@ -12,10 +12,6 @@ class DegreeMismatch(PsolvError, ValueError):
 class CapExceeded(PsolvError, RuntimeError):
     """An enumeration grew past its configured cap."""
 
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap
-
 
 class NotNormal(PsolvError, ValueError):
     """An operation required a normal subgroup and got something else."""

@@ -36,6 +36,7 @@ from .series import (
 )
 from .subgroups import (
     _first_outside,
+    _normalizes,
     commutator,
     element_mask,
     is_normal,
@@ -154,7 +155,7 @@ def _validate_filtration_input(F: Filtration):
         if N.degree != F.ambient.degree or not is_subgroup(N, F.ambient):
             raise PreconditionViolated(
                 f"term {idx} is not a subgroup of the ambient group")
-        if not is_normal(F.ambient, N):
+        if not _normalizes(F.ambient, N):
             raise NotNormal(f"term {idx} is not normal in the ambient group")
 
 
@@ -371,14 +372,15 @@ class _BudgetHit(Exception):
 
 
 @group_fact
-def _search_table(P: PermutationGroup, normals: tuple, p: int, ell: int):
-    """One row per lattice member N: the element masks over P of N, [N, P],
-    the ell-fold [N, P, ..., P] (N itself when ell = 0) and N^p."""
+def _search_table(P: PermutationGroup, p: int, ell: int):
+    """One row per member N of normal_subgroups(P): the element masks over P
+    of N, [N, P], the ell-fold [N, P, ..., P] (N itself when ell = 0) and
+    N^p."""
     def mask(H):
         return element_mask(P, H.elements())
 
     rows = []
-    for N in normals:
+    for N in normal_subgroups(P):
         B = commutator(N, P)
         n, b = mask(N), mask(B)
         folded = (n if ell == 0 else b if ell == 1
@@ -417,25 +419,20 @@ def _extend(table, memo, budget, x):
 
 
 def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
-                       ell: int, budget: int = DEFAULT_SEARCH_BUDGET,
-                       normals=None) -> SearchOutcome:
+                       ell: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
     """Decide whether N starts a type-ell potent filtration of P.
 
     Exact backtracking over strictly descending chains of normal subgroups;
     repeating a term never helps, so strict descent loses nothing. The
-    normal subgroup lattice is enumerated exhaustively, which is only
-    attempted for tiny ambient orders (512 / 729 / 3125 for p = 2 / 3 / 5,
-    p^3 otherwise); larger P, an enumeration overflow, or running out of
-    node budget all report "exhausted" rather than guessing.
-    "not_pf_embedded" is only returned after the full space is searched.
-    Lattice members, their commutators with P and their p-th powers are
-    compared as element masks over P, read from one table per lattice,
-    prime and type that every search on P shares.
-
-    A precomputed `normals` lattice (as from normal_subgroups(P)) skips the
-    order limit and the enumeration. Without it the lattice comes from
-    normal_subgroups(P), which is computed once per group object. A
-    negative budget raises UnsupportedParameters; a budget of 0 is legal.
+    lattice always comes from exhaustive_lattice(P, p), so it is only
+    enumerated for tiny ambient orders (512 / 729 / 3125 for p = 2 / 3 / 5,
+    p^3 otherwise) and once per group object; larger P, an enumeration
+    overflow, or running out of node budget all report "exhausted" rather
+    than guessing. "not_pf_embedded" is only returned after the full space
+    is searched. Lattice members, their commutators with P and their p-th
+    powers are compared as element masks over P, read from one table per
+    prime and type that every search on P shares. A negative budget raises
+    UnsupportedParameters; a budget of 0 is legal.
     """
     require_prime(p)
     check_p_group(P, p)
@@ -452,18 +449,16 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         F = Filtration(P, p, ell, (N,))
         return SearchOutcome(SearchOutcome.FOUND, F, 0, tuple(notes))
 
-    if normals is None:
-        normals, refused = exhaustive_lattice(P, p)
-        if refused is not None:
-            notes.append(
-                f"ambient order {P.order()} is above the exhaustive "
-                f"enumeration limit {search_order_limit(p)}"
-                if refused == "order"
-                else "normal subgroup enumeration overflowed its cap")
-            return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
+    normals, refused = exhaustive_lattice(P, p)
+    if refused is not None:
+        notes.append(
+            f"ambient order {P.order()} is above the exhaustive "
+            f"enumeration limit {search_order_limit(p)}"
+            if refused == "order"
+            else "normal subgroup enumeration overflowed its cap")
+        return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
-    normals = tuple(normals)
-    table = _search_table(P, normals, p, ell)
+    table = _search_table(P, p, ell)
     start_set = element_mask(P, N.elements())
     start = next((i for i, row in enumerate(table) if row[0] == start_set),
                  None)

@@ -39,14 +39,13 @@ class StabilizerChain:
     def __init__(self, degree, generators):
         self.degree = degree
         self.levels = []
-        e = identity(degree)
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree differs from group degree")
             residue, j = self._strip(g, 0)
             if not residue.is_identity():
                 self._add_generator(j, residue)
-        self._close(e)
+        self._close()
 
     def _gens_at(self, i):
         out = []
@@ -80,8 +79,7 @@ class StabilizerChain:
         n = self.order()
         if n > DEFAULT_ENUM_CAP:
             raise CapExceeded(f"group order is at least {n}, more than the "
-                              f"cap of {DEFAULT_ENUM_CAP} elements",
-                              cap=DEFAULT_ENUM_CAP)
+                              f"cap of {DEFAULT_ENUM_CAP} elements")
 
     def _strip(self, g, start):
         for i in range(start, len(self.levels)):
@@ -93,7 +91,7 @@ class StabilizerChain:
             g = g * t.inverse()
         return g, len(self.levels)
 
-    def _close(self, e):
+    def _close(self):
         # verify the Schreier condition level by level, deepest first;
         # a failed residue becomes a new strong generator and verification
         # resumes from its level
@@ -196,7 +194,7 @@ class PermutationGroup:
         n = self.order()
         if n > DEFAULT_ENUM_CAP:
             raise CapExceeded(f"group order {n} exceeds enumeration cap "
-                              f"{DEFAULT_ENUM_CAP}", cap=DEFAULT_ENUM_CAP)
+                              f"{DEFAULT_ENUM_CAP}")
         if self._elements is None:
             self._elements = list(self.chain.iter_elements())
         return self._elements

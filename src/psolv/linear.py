@@ -2,8 +2,8 @@
 
 When a normal subgroup V of G is elementary abelian of order p^d, V is a
 d-dimensional vector space over F_p and conjugation by any g in G is an
-invertible linear map T(g) on it. The pair is passed as quotient(G, V),
-which only checks that V is normal; G/V itself is never built. With right action and row vectors,
+invertible linear map T(g) on it. LinearAction(G, V, p) checks that V is
+normal in G and builds no quotient G/V. With right action and row vectors,
 coords(v^g) = coords(v) * T(g), so T(gh) = T(g) T(h), and the commutator
 identity coords([v, g]) = coords(v) * (T(g) - I) holds.
 """
@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from .errors import (
     InternalMismatch,
     KernelNotElementaryAbelian,
+    NotNormal,
     PreconditionViolated,
     UnsupportedParameters,
 )
+from .group import PermutationGroup
 from .perm import Permutation, identity
-from .series import _prime_power, require_prime
-from .subgroups import QuotientGroup
+from .series import require_prime
+from .subgroups import is_normal
 
 
 @dataclass(frozen=True)
@@ -106,26 +108,20 @@ class FpMatrix:
 
 class LinearAction:
     """The conjugation action of a group G on an elementary abelian normal
-    subgroup V, given as quotient(G, V), materialized as F_p matrices.
+    p-subgroup V, materialized as F_p matrices.
 
-    The basis is the greedy independent subfamily of the kernel's generators
+    V must be normal in G (NotNormal, or DegreeMismatch for another degree)
+    and elementary abelian of exponent p (KernelNotElementaryAbelian). The
+    basis is the greedy independent subfamily of the kernel's generators
     and every kernel element is tabulated by its exponent vector, so matrix
     extraction is a dictionary lookup per basis vector.
     """
 
-    def __init__(self, Q: QuotientGroup, p: int | None = None):
-        V = Q.kernel
-        order = V.order()
-        if p is None:
-            if order == 1:
-                raise UnsupportedParameters(
-                    "the prime cannot be inferred from a trivial kernel")
-            pk = _prime_power(order)
-            if pk is None:
-                raise KernelNotElementaryAbelian(
-                    f"the kernel order {order} is not a prime power")
-            p = pk[0]
+    def __init__(self, G: PermutationGroup, V: PermutationGroup, p: int):
+        if not is_normal(G, V):
+            raise NotNormal("kernel is not a normal subgroup of the base group")
         require_prime(p)
+        order = V.order()
 
         gens = [g for g in V.generators if not g.is_identity()]
         for i, a in enumerate(gens):
@@ -158,7 +154,7 @@ class LinearAction:
             raise InternalMismatch(
                 "basis products do not cover the kernel exactly")
 
-        self.quotient = Q
+        self.group = G
         self.prime = p
         self.space = V
         self.basis = tuple(basis)
@@ -182,7 +178,7 @@ class LinearAction:
 
     def matrix(self, g: Permutation) -> FpMatrix:
         """Row i is coords(basis_i conjugated by g)."""
-        if not self.quotient.base.contains(g):
+        if not self.group.contains(g):
             raise PreconditionViolated(
                 "the acting element must belong to the base group")
         return FpMatrix(self.prime, tuple(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 
-from .errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
+from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, group_fact, span, trivial_group
 from .perm import Permutation, identity
 
@@ -234,29 +234,6 @@ def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     return span(A.degree, common, len(common))
 
 
-class QuotientGroup:
-    """G/N held as the pair (base, kernel); N is normal in G.
-
-    Nothing is built for the quotient itself: psolv computes in G/N inside
-    G (cores and exponents modulo N are read from G's conjugacy classes),
-    and a LinearAction reads only the base and the kernel.
-    """
-
-    __slots__ = ("base", "kernel")
-
-    def __init__(self, base, kernel):
-        self.base = base
-        self.kernel = kernel
-
-
-def quotient(G: PermutationGroup, N: PermutationGroup) -> QuotientGroup:
-    """G/N as a QuotientGroup. N must be normal in G and of the same degree."""
-    _check_degrees(G, N)
-    if not is_normal(G, N):
-        raise NotNormal("kernel is not a normal subgroup of the base group")
-    return QuotientGroup(G, N)
-
-
 @group_fact
 def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
     """Conjugacy classes as a tuple of tuples of the objects in G.elements().
@@ -346,8 +323,7 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
                 continue
             if len(found) >= NORMAL_SUBGROUP_LIMIT:
                 raise CapExceeded(
-                    f"more than {NORMAL_SUBGROUP_LIMIT} normal subgroups",
-                    cap=NORMAL_SUBGROUP_LIMIT)
+                    f"more than {NORMAL_SUBGROUP_LIMIT} normal subgroups")
             K2 = span(G.degree, kgens + list(cls))
             if K2.order() != m.bit_count():
                 raise InternalMismatch(

@@ -53,7 +53,6 @@ from psolv.subgroups import (
     normal_subgroups,
     normalizer,
     power_subgroup,
-    quotient,
     same_subgroup,
 )
 from psolv.theorems import (
@@ -196,7 +195,7 @@ def test_criterion_03_potent_chain_definitions():
             normals = normal_subgroups(P)
             for N in normals:
                 for ell in sorted({1, p - 1, p}):
-                    out = pf_embedded_search(P, p, N, ell, normals=normals)
+                    out = pf_embedded_search(P, p, N, ell)
                     if out.status != SearchOutcome.FOUND:
                         continue
                     found += 1
@@ -297,7 +296,7 @@ def test_criterion_08_linear_action():
             if V.is_trivial():
                 continue
             try:
-                action = LinearAction(quotient(G, V), p)
+                action = LinearAction(G, V, p)
             except KernelNotElementaryAbelian:
                 continue
             instances += 1
@@ -316,7 +315,7 @@ def test_criterion_08_linear_action():
     assert instances >= 15
 
     S4 = build_group("symmetric:4")
-    A = LinearAction(quotient(S4, o_p(S4, 2)), 2)
+    A = LinearAction(S4, o_p(S4, 2), 2)
     M = A.matrix(from_cycles(4, [(0, 1, 2)]))
     I = FpMatrix.identity(2, A.dimension)
     assert M != I and M * M != I and M * M * M == I

@@ -255,14 +255,6 @@ def test_lattice_overflow_is_refused_before_any_closure(monkeypatch):
                           "enumeration overflowed its cap",)
 
 
-def test_search_accepts_precomputed_lattice():
-    normals = normal_subgroups(D8)
-    out = pf_embedded_search(D8, 2, Z2, 1, normals=normals)
-    assert out.status == SearchOutcome.FOUND
-    again = pf_embedded_search(D8, 2, Z2, 1, normals=list(normals))
-    assert again == out
-
-
 def test_searches_share_one_mask_table(monkeypatch):
     import psolv.filtrations
     calls = 0

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from psolv.errors import KernelNotElementaryAbelian
-from psolv.group import PermutationGroup
+from psolv.errors import DegreeMismatch, KernelNotElementaryAbelian, NotNormal
+from psolv.group import PermutationGroup, trivial_group
 from psolv.linear import (
     FpMatrix,
     LinearAction,
     unipotency_degree,
 )
 from psolv.perm import parse_cycles
-from psolv.subgroups import quotient
 
 
 def g(degree, *cycle_texts):
@@ -55,7 +54,7 @@ def test_unipotency_degree():
 
 
 def test_action_on_s4_mod_v4():
-    A = LinearAction(quotient(S4, V4))
+    A = LinearAction(S4, V4, 2)
     assert A.prime == 2
     assert A.dimension == 2
     T = A.matrix(parse_cycles("(1 2 3)", 4))
@@ -66,15 +65,13 @@ def test_action_on_s4_mod_v4():
 
 
 def test_kernel_elements_act_trivially():
-    Q = quotient(S4, V4)
-    A = LinearAction(Q)
+    A = LinearAction(S4, V4, 2)
     for v in V4.elements():
         assert A.matrix(v).is_identity()
 
 
 def test_centralizing_elements_act_trivially():
-    Q = quotient(A4, V4)
-    A = LinearAction(Q)
+    A = LinearAction(A4, V4, 2)
     # V4 is its own centralizer in A4, so only V4 itself acts trivially
     trivial_actors = [x for x in A4.elements()
                       if A.matrix(x).is_identity()]
@@ -83,8 +80,7 @@ def test_centralizing_elements_act_trivially():
 
 
 def test_action_is_a_homomorphism():
-    Q = quotient(S4, V4)
-    A = LinearAction(Q)
+    A = LinearAction(S4, V4, 2)
     rng = random.Random("linear-test")
     els = S4.elements()
     for _ in range(300):
@@ -94,8 +90,7 @@ def test_action_is_a_homomorphism():
 
 def test_action_matches_conjugation():
     # moving v by T(g) - 1 lands on the commutator [v, g]
-    Q = quotient(S4, V4)
-    A = LinearAction(Q)
+    A = LinearAction(S4, V4, 2)
     one = FpMatrix.identity(2, 2)
     for gperm in S4.elements():
         T = A.matrix(gperm)
@@ -105,14 +100,13 @@ def test_action_matches_conjugation():
 
 
 def test_coords_element_round_trip():
-    A = LinearAction(quotient(S4, V4))
+    A = LinearAction(S4, V4, 2)
     for v in V4.elements():
         assert A.element(A.coords(v)) == v
 
 
 def test_p_element_images_are_unipotent():
-    Q = quotient(S4, V4)
-    A = LinearAction(Q)
+    A = LinearAction(S4, V4, 2)
     for x in S4.elements():
         if x.order() in (1, 2, 4):
             assert unipotency_degree(A.matrix(x)) is not None
@@ -122,15 +116,26 @@ def test_rejects_non_elementary_kernel():
     D8 = g(4, "(1 2 3 4)", "(1 3)")
     C4 = g(4, "(1 2 3 4)")
     with pytest.raises(KernelNotElementaryAbelian):
-        LinearAction(quotient(D8, C4))
+        LinearAction(D8, C4, 2)
     with pytest.raises(KernelNotElementaryAbelian):
-        LinearAction(quotient(S4, A4))
+        LinearAction(S4, A4, 2)
+
+
+def test_action_rejects_non_normal_kernel():
+    C4 = g(4, "(1 2 3 4)")
+    with pytest.raises(NotNormal):
+        LinearAction(S4, C4, 2)
+
+
+def test_action_rejects_another_degree():
+    with pytest.raises(DegreeMismatch):
+        LinearAction(S4, trivial_group(5), 2)
 
 
 def test_odd_prime_action():
     C3 = g(3, "(1 2 3)")
     S3 = g(3, "(1 2)", "(1 2 3)")
-    A = LinearAction(quotient(S3, C3))
+    A = LinearAction(S3, C3, 3)
     assert A.prime == 3
     assert A.dimension == 1
     T = A.matrix(parse_cycles("(1 2)", 3))

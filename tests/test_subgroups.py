@@ -1,7 +1,7 @@
 import pytest
 
 from psolv.catalog import build_group
-from psolv.errors import CapExceeded, DegreeMismatch, InternalMismatch, NotNormal
+from psolv.errors import CapExceeded, InternalMismatch
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.subgroups import (
@@ -20,7 +20,6 @@ from psolv.subgroups import (
     normal_subgroups,
     normalizer,
     power_subgroup,
-    quotient,
     same_subgroup,
 )
 
@@ -294,29 +293,6 @@ def test_is_subgroup_and_normal():
     assert is_normal(S4, A4)
     assert not is_normal(S4, C4)
     assert not is_normal(S4, g(4, "(1 2)"))
-
-
-def test_quotient_s4_mod_v4():
-    Q = quotient(S4, V4)
-    assert Q.base is S4
-    assert Q.kernel is V4
-
-
-def test_quotient_extremes():
-    Q = quotient(S4, trivial_group(4))
-    assert Q.base is S4 and Q.kernel.is_trivial()
-    Q = quotient(S4, S4)
-    assert Q.base is S4 and Q.kernel is S4
-
-
-def test_quotient_rejects_non_normal():
-    with pytest.raises(NotNormal):
-        quotient(S4, C4)
-
-
-def test_quotient_rejects_another_degree():
-    with pytest.raises(DegreeMismatch):
-        quotient(S4, trivial_group(5))
 
 
 def test_conjugacy_classes_partition():
