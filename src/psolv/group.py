@@ -12,7 +12,7 @@ import functools
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch
-from .perm import Permutation, identity
+from .perm import Permutation, _gather, _make, identity
 
 DEFAULT_ENUM_CAP = 200_000
 _SELF = object()  # kept in G._facts for a group_fact value that is G itself
@@ -134,7 +134,9 @@ class StabilizerChain:
         out = [identity(self.degree)]
         for lv in reversed(self.levels):
             ts = [lv.transversal[beta] for beta in sorted(lv.transversal)]
-            out = [h * t for t in ts for h in out]
+            # h * t has images t[h[x]]: one gather by h's images per product
+            gathers = [_gather(h.images) for h in out]
+            out = [_make(gather(t.images)) for t in ts for gather in gathers]
         return out
 
 

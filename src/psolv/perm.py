@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 from .errors import DegreeMismatch
 
@@ -18,6 +19,16 @@ def _make(images):
     p = object.__new__(Permutation)
     p.images = images
     return p
+
+
+def _gather(idx):
+    """The function t -> tuple(t[i] for i in idx), as one C-level
+    itemgetter pass. A single index is wrapped, since itemgetter(i)
+    returns t[i] itself rather than a 1-tuple."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda t: (t[i],)
+    return itemgetter(*idx)
 
 
 class Permutation:

@@ -13,7 +13,7 @@ from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, group_fact, span, trivial_group
-from .perm import Permutation, identity
+from .perm import Permutation, _gather, identity
 
 NORMAL_SUBGROUP_LIMIT = 20_000
 
@@ -143,10 +143,12 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
     return span(N.degree, (x ** q for x in N.elements()))
 
 
-def _conjugate_images(yi: tuple, g: Permutation, g_inv: Permutation) -> tuple:
-    """Images of g^-1 * y * g in one pass, given y's images yi and g_inv = g^-1."""
+def _conjugator(g: Permutation):
+    """The function taking y's images to those of g^-1 * y * g, which are
+    g[y[g^-1[b]]] for each point b: two C-level gathers per conjugate."""
+    before = _gather(g.inverse().images)
     gi = g.images
-    return tuple(gi[yi[w]] for w in g_inv.images)
+    return lambda y: _gather(before(y))(gi)
 
 
 @group_fact
@@ -157,8 +159,8 @@ def _conjugation_action(G: PermutationGroup) -> tuple:
     positions = _element_positions(G)
     maps = []
     for g in G.generators:
-        g_inv = g.inverse()
-        maps.append(array("i", [positions[_conjugate_images(x.images, g, g_inv)] for x in els]))
+        conj = _conjugator(g)
+        maps.append(array("i", [positions[conj(x.images)] for x in els]))
     return tuple(maps)
 
 
@@ -203,9 +205,9 @@ def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
     """C_G(S), the stabilizer of S's generators under conjugation by G.
     S need not lie in G."""
     _check_degrees(G, S)
-    moves = [(g, g.inverse()) for g in G.generators]
+    conjs = [_conjugator(g) for g in G.generators]
     return _stabilizer(G, trivial_group(G.degree), tuple(s.images for s in S.generators),
-                       lambda t, i: tuple(_conjugate_images(y, *moves[i]) for y in t))
+                       lambda t, i: tuple(map(conjs[i], t)))
 
 
 def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:

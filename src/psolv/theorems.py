@@ -471,10 +471,14 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
 
 
 def hall_higman_bound(G: PermutationGroup, p: int) -> Verdict:
-    """p-length at most the exponent valuation of a Sylow p-subgroup.
+    """p-length against e, the exponent valuation of a Sylow p-subgroup.
 
-    Proved for odd p; for p = 2 the inequality can genuinely fail, so that
-    case is reported without being asserted.
+    Hall and Higman (Proc. LMS 1956, Theorem A) prove l_p <= e for odd p
+    that is not a Fermat prime, and only l_p <= 2e at a Fermat prime
+    (3, 5, 17, ...); the verdict asserts the bound proved for p. AGL(2,3)
+    shows the factor 2 is needed: 3-length 2 with e = 1. At p = 2 the
+    verdict only reports l_2 <= e, and its note keeps its wording so the
+    p = 2 reports keep their bytes.
     """
     require_prime(p)
     _require_p_solvable(G, p)
@@ -491,7 +495,9 @@ def hall_higman_bound(G: PermutationGroup, p: int) -> Verdict:
     if p == 2:
         notes = ("the bound is not a theorem at p = 2, so this verdict only "
                  "reports",)
-    return Verdict("hall-higman", True, length <= e, params, (), notes,
+    fermat = p > 2 and (p - 1) & (p - 2) == 0
+    bound = 2 * e if fermat else e
+    return Verdict("hall-higman", True, length <= bound, params, (), notes,
                    report_only=(p == 2))
 
 

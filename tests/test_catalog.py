@@ -338,6 +338,8 @@ REPORT_SHA256 = {
     2: "ade4b6ee11aefd4173970020e26773c718c6e3a7cf57c89903e089337595ec03",
     3: "3a5151583aad5aa4513e5daa51cdc8cc679600cab8d23745abd2799db32f5022",
     5: "52c9b2ac3a59851bba674e806bad3c9a55b1302e98eca5f6d2f02345e68df7e6",
+    # the smallest prime at which Hall-Higman's sharp bound l_p <= e holds
+    7: "1c9fe36b781562fd2ad7d2dd01965d5de2e865543610d83455e03d371574db29",
 }
 
 

@@ -7,8 +7,9 @@ import pytest
 
 import psolv.cli as cli
 import psolv.theorems as theorems
+from psolv.battery import battery_for_group
 from psolv.catalog import (DEFAULT_CATALOG, TOOL_VERSION, Report, build_group,
-                           emit_report)
+                           emit_report, parse_group)
 from psolv.filtrations import Filtration
 from psolv.group import trivial_group
 from psolv.series import sylow
@@ -169,6 +170,45 @@ def test_verify_hall_higman(capsys):
                          "symmetric:3", "--p", "3")
     assert code == 0
     assert "hall-higman: consistent" in out
+
+
+# AGL(2,3) on the 9 points of F_3^2, (x, y) at point 3x + y, order 432: its
+# Sylow 3-subgroup 3^2:3 has exponent 3, so e = 1, and its 3-length is 2.
+# l_3 <= e fails here; 3 is a Fermat prime, where Hall-Higman prove only 2e
+AGL23 = {"degree": 9, "generators": [
+    [3, 4, 5, 6, 7, 8, 0, 1, 2], [0, 1, 2, 4, 5, 3, 8, 6, 7],
+    [0, 4, 8, 3, 7, 2, 6, 1, 5], [0, 1, 2, 6, 7, 8, 3, 4, 5]]}
+
+
+def test_hall_higman_on_agl23_holds_at_the_fermat_prime_3(tmp_path, capsys):
+    doc = tmp_path / "agl23.json"
+    doc.write_text(json.dumps(AGL23))
+    code, out, err = run(capsys, "verify", "hall-higman", "--file", str(doc),
+                         "--p", "3")
+    assert code == 0, out
+    assert "hall-higman: consistent" in out
+    assert "exponent_valuation=1" in out and "p_length=2" in out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_battery_on_agl23_finds_nothing(p):
+    G = parse_group(json.dumps(AGL23))
+    assert G.order() == 432
+    reports = battery_for_group(G, "agl23", p, 7)
+    assert reports
+    assert [r.statement_id for r in reports
+            if r.verdict["is_finding"]] == []
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "hall-higman"]])
+def test_a_degree_1_document_runs(tmp_path, capsys, argv):
+    # the one-point group: every kernel that gathers by a tuple of indices
+    # sees a single index here
+    doc = tmp_path / "one.json"
+    doc.write_text('{"degree": 1, "generators": [[0]]}')
+    code, out, err = run(capsys, *argv, "--file", str(doc), "--p", "2")
+    assert code == 0, err
+    assert "sylow_order=1" in out
 
 
 def test_group_from_file(tmp_path, capsys):
