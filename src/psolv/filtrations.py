@@ -290,13 +290,6 @@ def compute_ekr(P: PermutationGroup, p: int, k: int, r: int) -> PermutationGroup
     return E
 
 
-def ekr_terms(P: PermutationGroup, p: int, k: int, r: int):
-    """The nontrivial qualifying pieces (i, j, gamma_i(P)^(p^j)) actually
-    joined by compute_ekr, for audit output."""
-    _, pieces = _ekr_pieces(P, p, k, r)
-    return pieces
-
-
 def _descend(first, step):
     """Build a weakly descending chain from `first` via `step(i)` for
     i = 2, 3, ..., skipping repeats, until a trivial term is appended."""

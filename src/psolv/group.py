@@ -19,12 +19,13 @@ _SELF = object()  # kept in G._facts for a group_fact value that is G itself
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point):
         self.point = point
-        self.gens = []  # strong generators first moving this base point
+        self.gens = []  # (s, s^-1) images, s a strong generator first moving this point
         self.transversal = {}  # orbit point -> u with u[base point] == point
+        self.inverses = {}  # orbit point -> the images of that u^-1
 
 
 class StabilizerChain:
@@ -34,16 +35,17 @@ class StabilizerChain:
     strong generators assigned to levels >= i (those fixing b_0..b_{i-1}).
     """
 
-    __slots__ = ("degree", "levels")
+    __slots__ = ("degree", "levels", "one")
 
     def __init__(self, degree, generators):
         self.degree = degree
         self.levels = []
+        self.one = tuple(range(degree))
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree differs from group degree")
-            residue, j = self._strip(g, 0)
-            if not residue.is_identity():
+            residue, j = self._strip(g.images, 0)
+            if residue != self.one:
                 self._add_generator(j, residue)
         self._close()
 
@@ -54,23 +56,29 @@ class StabilizerChain:
         return out
 
     def _rebuild_orbit(self, i):
+        # u * s has images s[u[x]], and its inverse s^-1 * u^-1 has images
+        # u^-1[s^-1[x]]: one gather each, and no inverse() per element
         lv = self.levels[i]
-        gens = self._gens_at(i)
-        lv.transversal = {lv.point: identity(self.degree)}
+        gens = [(s, _gather(s_inv)) for s, s_inv in self._gens_at(i)]
+        lv.transversal = {lv.point: _make(self.one)}
+        lv.inverses = {lv.point: self.one}
         queue = deque([lv.point])
         while queue:
             a = queue.popleft()
-            t = lv.transversal[a]
-            for s in gens:
-                b = s.images[a]
-                if b not in lv.transversal:
-                    lv.transversal[b] = t * s
+            by_t = _gather(lv.transversal[a].images)
+            t_inv = lv.inverses[a]
+            for s, by_s_inv in gens:
+                b = s[a]
+                if b not in lv.inverses:
+                    lv.transversal[b] = _make(by_t(s))
+                    lv.inverses[b] = by_s_inv(t_inv)
                     queue.append(b)
 
-    def _add_generator(self, j, h):
+    def _add_generator(self, j, images):
+        h = _make(images)
         if j == len(self.levels):
             self.levels.append(_Level(h.min_moved()))
-        self.levels[j].gens.append(h)
+        self.levels[j].gens.append((h.images, h.inverse().images))
         for i in range(j + 1):
             self._rebuild_orbit(i)
         # level i's transversal is an orbit of generators that fix the
@@ -81,15 +89,16 @@ class StabilizerChain:
             raise CapExceeded(f"group order is at least {n}, more than the "
                               f"cap of {DEFAULT_ENUM_CAP} elements")
 
-    def _strip(self, g, start):
+    def _strip(self, x, start):
+        """Sift the images x from level start down: (residue images, level
+        where it left the chain, or len(levels) when it went through)."""
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            beta = g.images[lv.point]
-            t = lv.transversal.get(beta)
-            if t is None:
-                return g, i
-            g = g * t.inverse()
-        return g, len(self.levels)
+            u_inv = lv.inverses.get(x[lv.point])
+            if u_inv is None:
+                return x, i
+            x = _gather(x)(u_inv)
+        return x, len(self.levels)
 
     def _close(self):
         # verify the Schreier condition level by level, deepest first;
@@ -101,14 +110,14 @@ class StabilizerChain:
             gens = self._gens_at(i)
             restart = False
             for beta in sorted(lv.transversal):
-                u = lv.transversal[beta]
-                for s in gens:
-                    target = lv.transversal[s.images[beta]]
-                    schreier = u * s * target.inverse()
-                    if schreier.is_identity():
+                by_u = _gather(lv.transversal[beta].images)
+                for s, _ in gens:
+                    # u * s * t^-1 has images t^-1[s[u[x]]]
+                    schreier = _gather(by_u(s))(lv.inverses[s[beta]])
+                    if schreier == self.one:
                         continue
                     residue, j = self._strip(schreier, i + 1)
-                    if not residue.is_identity():
+                    if residue != self.one:
                         self._add_generator(j, residue)
                         i = j
                         restart = True
@@ -125,8 +134,7 @@ class StabilizerChain:
         return n
 
     def contains(self, g) -> bool:
-        residue, _ = self._strip(g, 0)
-        return residue.is_identity()
+        return self._strip(g.images, 0)[0] == self.one
 
     def iter_elements(self):
         """Every element exactly once, in a fixed order determined by the chain:

@@ -87,7 +87,7 @@ class Permutation:
         return self.inverse() * other.inverse() * self * other
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def min_moved(self):
         """Smallest moved point, or None for the identity."""

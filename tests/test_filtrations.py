@@ -12,8 +12,8 @@ from psolv.filtrations import (
     SearchOutcome,
     compute_ekr,
     ekr_pf_candidates,
+    _ekr_pieces,
     _frattini_subspaces,
-    ekr_terms,
     exhaustive_lattice,
     pf_embedded_search,
     search_order_limit,
@@ -134,10 +134,10 @@ def test_ekr_rejects_bad_indices():
 
 def test_ekr_terms_use_minimal_power():
     # for each i the smallest power exponent j already gives the containment
-    pieces = ekr_terms(D8, 2, 2, 1)
+    _, pieces = _ekr_pieces(D8, 2, 2, 1)
     assert [(i, j) for i, j, _ in pieces] == [(1, 1), (2, 0)]
     # trivial gamma_i contribute nothing and are dropped outright
-    pieces = ekr_terms(C9, 3, 3, 1)
+    _, pieces = _ekr_pieces(C9, 3, 3, 1)
     assert [(i, j) for i, j, _ in pieces] == [(1, 1)]
 
 

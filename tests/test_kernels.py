@@ -1,23 +1,26 @@
-"""The whole-group gather kernels against the plain Permutation arithmetic.
+"""The gather kernels against the plain Permutation arithmetic.
 
-StabilizerChain.iter_elements and the conjugation action build their
-elements through perm._gather, not Permutation.__mul__; these tests
-rebuild both with products and conjugates, on fixed groups from degree 1
-up and on small groups drawn at random, and check that the order of the
-elements, the action and the centralizer built on it all agree.
+StabilizerChain (its orbits, sift and Schreier test), iter_elements, the
+conjugation action and subgroups._stabilizer build their elements through
+perm._gather, not Permutation.__mul__; these tests rebuild them with
+products, inverses and conjugates, on fixed groups from degree 1 up and on
+small groups drawn at random, and check that the chains, the order of the
+elements, the action and the normalizer and centralizer built on it all
+agree.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from psolv.catalog import build_group
-from psolv.group import PermutationGroup, span
-from psolv.perm import Permutation, _gather, identity
+from psolv.group import PermutationGroup, span, trivial_group
+from psolv.perm import Permutation, _gather, _make, identity
 from psolv.subgroups import (_conjugation_action, _element_positions,
-                             centralizer, same_subgroup)
+                             centralizer, normalizer, same_subgroup)
 
-from oracles import centralizer_set
+from oracles import centralizer_set, normalizer_set
 
 
 def _drawn(seed):
@@ -30,19 +33,21 @@ def _drawn(seed):
     return PermutationGroup(degree, gens)
 
 
+# each group is built inside its test, so a broken chain fails the test
+# rather than the collection
 GROUPS = {
-    "degree-1": PermutationGroup(1, [identity(1)]),
-    "degree-2": build_group("symmetric:2"),
-    "S4": build_group("symmetric:4"),
-    "D8": build_group("dihedral:4"),
-    "wreath_cyclic:2:3": build_group("wreath_cyclic:2:3"),
-    **{f"drawn-{seed}": _drawn(seed) for seed in range(8)},
+    "degree-1": lambda: PermutationGroup(1, [identity(1)]),
+    "degree-2": partial(build_group, "symmetric:2"),
+    "S4": partial(build_group, "symmetric:4"),
+    "D8": partial(build_group, "dihedral:4"),
+    "wreath_cyclic:2:3": partial(build_group, "wreath_cyclic:2:3"),
+    **{f"drawn-{seed}": partial(_drawn, seed) for seed in range(8)},
 }
 
 
 @pytest.fixture(params=sorted(GROUPS))
 def G(request):
-    return GROUPS[request.param]
+    return GROUPS[request.param]()
 
 
 def _products(chain):
@@ -86,3 +91,139 @@ def test_centralizer_matches_a_scan_of_the_elements(G):
         C = centralizer(G, S)
         assert same_subgroup(C, span(G.degree, want)), S
         assert C.order() == len(want)
+
+
+class _ReferenceChain:
+    """The deterministic Schreier-Sims chain written with *, inverse() and
+    is_identity(): the arithmetic StabilizerChain replaced by gathers."""
+
+    class Level:
+        def __init__(self, point):
+            self.point = point
+            self.gens = []
+            self.transversal = {}
+
+    def __init__(self, degree, generators):
+        self.degree = degree
+        self.levels = []
+        for g in generators:
+            residue, j = _reference_strip(self.levels, g, 0)
+            if not residue.is_identity():
+                self._add_generator(j, residue)
+        self._close()
+
+    def _gens_at(self, i):
+        return [s for lv in self.levels[i:] for s in lv.gens]
+
+    def _rebuild_orbit(self, i):
+        lv = self.levels[i]
+        gens = self._gens_at(i)
+        lv.transversal = {lv.point: identity(self.degree)}
+        queue = [lv.point]
+        for a in queue:
+            t = lv.transversal[a]
+            for s in gens:
+                b = s.images[a]
+                if b not in lv.transversal:
+                    lv.transversal[b] = t * s
+                    queue.append(b)
+
+    def _add_generator(self, j, h):
+        if j == len(self.levels):
+            self.levels.append(self.Level(h.min_moved()))
+        self.levels[j].gens.append(h)
+        for i in range(j + 1):
+            self._rebuild_orbit(i)
+
+    def _close(self):
+        i = len(self.levels) - 1
+        while i >= 0:
+            lv = self.levels[i]
+            gens = self._gens_at(i)
+            restart = False
+            for beta in sorted(lv.transversal):
+                u = lv.transversal[beta]
+                for s in gens:
+                    target = lv.transversal[s.images[beta]]
+                    schreier = u * s * target.inverse()
+                    if schreier.is_identity():
+                        continue
+                    residue, j = _reference_strip(self.levels, schreier, i + 1)
+                    if not residue.is_identity():
+                        self._add_generator(j, residue)
+                        i = j
+                        restart = True
+                        break
+                if restart:
+                    break
+            if not restart:
+                i -= 1
+
+
+def _reference_strip(levels, g, start):
+    # sift g through levels whose transversal holds Permutations
+    for i in range(start, len(levels)):
+        lv = levels[i]
+        t = lv.transversal.get(g.images[lv.point])
+        if t is None:
+            return g, i
+        g = g * t.inverse()
+    return g, len(levels)
+
+
+CHAIN_GROUPS = {
+    **GROUPS,
+    "one-point": partial(trivial_group, 1),
+    "S8": partial(build_group, "symmetric:8"),
+    "extraspecial:5:plus": partial(build_group, "extraspecial:5:plus"),
+}
+
+
+@pytest.fixture(params=sorted(CHAIN_GROUPS))
+def chained(request):
+    return CHAIN_GROUPS[request.param]()
+
+
+def test_chain_matches_the_reference_level_by_level(chained):
+    chain = chained.chain
+    want = _ReferenceChain(chained.degree, chained.generators)
+    assert [lv.point for lv in chain.levels] == [lv.point for lv in want.levels]
+    one = identity(chained.degree)
+    for lv, ref in zip(chain.levels, want.levels):
+        assert [s for s, _ in lv.gens] == [s.images for s in ref.gens]
+        for s, s_inv in lv.gens:
+            assert _make(s) * _make(s_inv) == one
+        assert sorted(lv.transversal) == sorted(ref.transversal)
+        assert sorted(lv.inverses) == sorted(ref.transversal)
+        for beta, u in ref.transversal.items():
+            assert lv.transversal[beta] == u
+            assert _make(lv.inverses[beta]) * u == one
+    assert chain.order() == chained.order()
+
+
+def test_strip_matches_the_reference_sift(chained):
+    chain = chained.chain
+    rng = random.Random(chained.degree * 1000 + chained.order())
+    els = chained.elements()
+    members = set(els)
+    inside = [rng.choice(els) for _ in range(10)]
+    drawn = [Permutation(rng.sample(range(chained.degree), chained.degree))
+             for _ in range(10)]
+    for g in inside + drawn:
+        for start in range(len(chain.levels) + 1):
+            residue, level = chain._strip(g.images, start)
+            want, want_level = _reference_strip(chain.levels, g, start)
+            assert (residue, level) == (want.images, want_level)
+        assert chain.contains(g) == (g in members)
+
+
+def test_normalizer_matches_a_scan_of_the_elements(G):
+    els = G.elements()
+    rng = random.Random(G.order() + 1)
+    for H in (G, trivial_group(G.degree),
+              span(G.degree, rng.sample(els, min(1, len(els)))),
+              span(G.degree, rng.sample(els, min(2, len(els))))):
+        want = normalizer_set(G.degree, els, set(H.elements()))
+        N = normalizer(G, H)
+        assert same_subgroup(N, span(G.degree, want)), H
+        assert N.order() == len(want)
