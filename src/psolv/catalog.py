@@ -473,29 +473,27 @@ def emit_group(G: PermutationGroup) -> str:
 class Report:
     """One verdict about one group, tagged for emission.
 
-    timing stays None so that emitted reports are byte-for-byte
-    reproducible; the field exists so readers of the schema have a stable
-    place for it.
+    The payload carries TOOL_VERSION and a "timing" of null, so emitted
+    reports are byte-for-byte reproducible and the schema keeps a stable
+    place for a timing.
     """
 
-    tool_version: str
     group_id: str
     statement_id: str
     verdict: dict
-    timing: float | None = None
 
     @classmethod
     def of(cls, group_id: str, v) -> Report:
         """The report of one verdict about one group."""
-        return cls(TOOL_VERSION, group_id, v.statement, v.to_payload())
+        return cls(group_id, v.statement, v.to_payload())
 
     def to_payload(self):
         return {
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
             "group_id": self.group_id,
             "statement_id": self.statement_id,
             "verdict": self.verdict,
-            "timing": self.timing,
+            "timing": None,
         }
 
 
@@ -553,29 +551,3 @@ def emit_report(reports, fmt: str = "text") -> str:
     findings = sum(1 for r in reports if r.verdict.get("is_finding"))
     lines.append(f"{len(reports)} report(s), {findings} finding(s)")
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str):
-    """Read back a structured report document."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
-        raise GroupParseError(f"expected a {REPORT_SCHEMA} document",
-                              location="schema")
-    if not isinstance(doc.get("reports"), list):
-        raise GroupParseError("reports must be a list", location="reports")
-    out = []
-    for idx, r in enumerate(doc["reports"]):
-        loc = f"reports[{idx}]"
-        if not isinstance(r, dict):
-            raise GroupParseError("each report must be an object",
-                                  location=loc)
-        try:
-            out.append(Report(tool_version=r["tool_version"],
-                              group_id=r["group_id"],
-                              statement_id=r["statement_id"],
-                              verdict=r["verdict"],
-                              timing=r.get("timing")))
-        except KeyError as e:
-            raise GroupParseError(f"report is missing field {e.args[0]!r}",
-                                  location=loc) from None
-    return out

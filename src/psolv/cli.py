@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .battery import run_catalog
@@ -280,14 +279,6 @@ def _cmd_catalog_run(args):
     return _emit_reports(args, run_catalog(args.p, args.seed, args.only))
 
 
-def _env_seed():
-    raw = os.environ.get("PSOLV_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _add_common(sub, group_source=True, prime=True, search_budget=False):
     if group_source:
         src = sub.add_mutually_exclusive_group(required=True)
@@ -298,7 +289,9 @@ def _add_common(sub, group_source=True, prime=True, search_budget=False):
     if search_budget:
         sub.add_argument("--search-budget", type=int,
                          default=DEFAULT_SEARCH_BUDGET)
-    sub.add_argument("--seed", type=int, default=_env_seed())
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed of the linear-action sampling; only "
+                          "catalog run reads it")
     sub.add_argument("--format", choices=("text", "structured"),
                      default="text")
 

@@ -50,6 +50,8 @@ from .subgroups import (
 from .verdicts import Verdict
 
 DEFAULT_SEARCH_BUDGET = 50_000
+# the most construction steps a chain may take; also the ceiling on the
+# type ell of verify main and verify thm6, and on r + l in verify o24
 DEFAULT_LENGTH_CAP = 64
 
 # exhaustive normal-subgroup enumeration is only attempted below these

@@ -52,14 +52,6 @@ class FpMatrix:
         if self.p != other.p:
             raise UnsupportedParameters("matrices live over different primes")
 
-    def __add__(self, other) -> "FpMatrix":
-        self._check_peer(other)
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise UnsupportedParameters("matrix shapes do not match")
-        return FpMatrix(self.p, tuple(
-            tuple((a + b) % self.p for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
     def __sub__(self, other) -> "FpMatrix":
         self._check_peer(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -77,20 +69,6 @@ class FpMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) % self.p for col in cols)
             for row in self.rows))
 
-    def __pow__(self, n: int) -> "FpMatrix":
-        if n < 0:
-            raise UnsupportedParameters("negative matrix powers are not supported")
-        if self.nrows != self.ncols:
-            raise UnsupportedParameters("only square matrices can be powered")
-        acc = FpMatrix.identity(self.p, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def row_apply(self, vector) -> tuple:
         """Row vector times matrix."""
         if len(vector) != self.nrows:
@@ -101,9 +79,6 @@ class FpMatrix:
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)
-
-    def is_identity(self) -> bool:
-        return self == FpMatrix.identity(self.p, self.nrows)
 
 
 class LinearAction:

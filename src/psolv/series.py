@@ -37,7 +37,7 @@ from .subgroups import (
 class SeriesReport:
     """A labeled subgroup series.
 
-    kind is one of "lower_central", "derived", "upper_p". For upper_p the
+    kind is "lower_central" or "upper_p". For upper_p the
     labels after the leading "1" alternate "p'", "p", and p_length counts
     the strictly growing p-labeled steps; the top term equals the whole
     group exactly when is_p_solvable.
@@ -56,48 +56,27 @@ class SeriesReport:
         return [t.order() for _, t in self.terms]
 
 
-def _descending_tail(G, step, label_fmt):
-    # the terms below G; shared truncation convention: stop at the first
-    # repeat; the repeated term is kept when nontrivial (visible
-    # stabilization) and dropped when trivial (the series simply ends at 1)
-    terms = []
-    current = G
-    i = 1
-    while True:
-        nxt = step(current)
-        i += 1
-        if same_subgroup(nxt, current):
-            if not nxt.is_trivial():
-                terms.append((label_fmt(i), nxt))
-            break
-        terms.append((label_fmt(i), nxt))
-        if nxt.is_trivial():
-            break
-        current = nxt
-    return tuple(terms)
-
-
 # only the terms below G are cached: a value on G that held G would be a
 # reference cycle, keeping G and its facts alive until a full collection
 @group_fact
 def _lower_central_tail(G: PermutationGroup) -> tuple:
-    return _descending_tail(G, lambda H: commutator(H, G), lambda i: f"gamma_{i}")
-
-
-@group_fact
-def _derived_tail(G: PermutationGroup) -> tuple:
-    return _descending_tail(G, lambda H: commutator(H, H), lambda i: f"derived_{i - 1}")
+    # the series ends at 1, or at its first repeat: a series that stalls
+    # above 1 keeps the repeated term, so the stall stays visible
+    terms = []
+    current = G
+    while not current.is_trivial():
+        nxt = commutator(current, G)
+        terms.append((f"gamma_{len(terms) + 2}", nxt))
+        if same_subgroup(nxt, current):
+            break
+        current = nxt
+    return tuple(terms)
 
 
 def lower_central_series(G: PermutationGroup) -> SeriesReport:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G], truncated at the first repeat."""
     return SeriesReport(kind="lower_central",
                         terms=(("gamma_1", G),) + _lower_central_tail(G))
-
-
-def derived_series(G: PermutationGroup) -> SeriesReport:
-    return SeriesReport(kind="derived",
-                        terms=(("derived_0", G),) + _derived_tail(G))
 
 
 def gamma(P: PermutationGroup, i: int) -> PermutationGroup:

@@ -20,6 +20,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .filtrations import (
+    DEFAULT_LENGTH_CAP,
     DEFAULT_SEARCH_BUDGET,
     Filtration,
     SearchOutcome,
@@ -69,6 +70,15 @@ def _require_p_solvable(G, p):
         raise NotPSolvable(f"the group is not {p}-solvable")
 
 
+def _require_type(ell):
+    # no larger type says more: a p-group within DEFAULT_ENUM_CAP has
+    # nilpotency class and exponent valuation below 18, while a huge ell
+    # makes the reported p^(ell+1) too long to print
+    if not 1 <= ell <= DEFAULT_LENGTH_CAP:
+        raise PreconditionViolated(
+            f"the type must be between 1 and {DEFAULT_LENGTH_CAP}")
+
+
 def _outside(label, A, B):
     """() when A <= B, else ((label, w),) with w a generator of A outside B."""
     w = _first_outside(A, B)
@@ -88,8 +98,7 @@ def check_main_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
     """
     require_prime(p)
     check_p_group(P, p)
-    if ell < 1:
-        raise PreconditionViolated("the type must be at least 1")
+    _require_type(ell)
     m = ell * (p - 1)
     lhs = gamma(P, m)
     c = nilpotency_class(P)
@@ -134,8 +143,7 @@ def check_thm6_hypothesis(P: PermutationGroup, p: int, ell: int) -> Verdict:
     """Does gamma_{ell(p-1)}(P) land inside E_{ell(p-1)+1, 1}(P)?"""
     require_prime(p)
     check_p_group(P, p)
-    if ell < 1:
-        raise PreconditionViolated("the type must be at least 1")
+    _require_type(ell)
     m = ell * (p - 1)
     lhs = gamma(P, m)
     E = compute_ekr(P, p, m + 1, 1)
@@ -220,8 +228,8 @@ def _verify_length_links(G, p, P, ell, params, witnesses):
 def _verify_length_statement(statement, G, p, ell, thm6_only):
     require_prime(p)
     _require_p_solvable(G, p)
-    if ell is not None and ell < 1:
-        raise PreconditionViolated("the type must be at least 1")
+    if ell is not None:
+        _require_type(ell)
     P = sylow(G, p)
     scanned = ell is None
     if scanned:
@@ -382,9 +390,9 @@ def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
     require_prime(p)
     if r < 0 or l < 0:
         raise PreconditionViolated("the exponents must be nonnegative")
-    if r + l < 1:
-        raise PreconditionViolated("at least one of the exponents must be "
-                                   "positive")
+    if not 1 <= r + l <= DEFAULT_LENGTH_CAP:
+        raise PreconditionViolated(
+            f"r + l must be between 1 and {DEFAULT_LENGTH_CAP}")
     for name, H in (("V", V), ("M", M)):
         if H.degree != G.degree or not is_subgroup(H, G):
             raise PreconditionViolated(f"{name} must be a subgroup of the "

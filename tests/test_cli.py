@@ -8,7 +8,7 @@ import pytest
 import psolv.cli as cli
 import psolv.theorems as theorems
 from psolv.battery import battery_for_group
-from psolv.catalog import (DEFAULT_CATALOG, TOOL_VERSION, Report, build_group,
+from psolv.catalog import (DEFAULT_CATALOG, Report, build_group,
                            emit_report, parse_group)
 from psolv.filtrations import Filtration
 from psolv.group import trivial_group
@@ -353,6 +353,27 @@ def _one_error_line(code, out, err):
             and err.startswith("psolv: error:") and err.count("\n") == 1)
 
 
+@pytest.mark.parametrize("statement", ["main", "thm6"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_type_past_the_length_cap_exits_1(statement, fmt):
+    # p^(ell+1) has more than 4300 digits at ell = 100000; the type is
+    # refused before anything is computed
+    code, out, err = _run_child("verify", statement, "--recipe", "dihedral:4",
+                                "--p", "2", "--ell", "100000",
+                                "--format", fmt, timeout=20)
+    assert _one_error_line(code, out, err), err
+    assert "between 1 and 64" in err
+
+
+def test_o24_exponents_past_the_length_cap_exit_1():
+    # the output grows with r * (r + l), so r + l is bounded like a type
+    code, out, err = _run_child("verify", "o24", "--recipe", "dihedral:4",
+                                "--p", "2", "--v", "full", "--m", "sylow",
+                                "--r", "20000", "--l", "0", timeout=20)
+    assert _one_error_line(code, out, err), err
+    assert "r + l must be between 1 and 64" in err
+
+
 def test_deeply_nested_recipe_exits_1():
     code, out, err = _run_child("analyze", "--recipe", _nested_product(500),
                                 "--p", "2")
@@ -402,7 +423,7 @@ def test_bad_group_document_reports_location(tmp_path, capsys):
 
 
 def test_finding_exits_2(capsys, monkeypatch):
-    bad = Report(TOOL_VERSION, "cyclic:4", "prop3",
+    bad = Report("cyclic:4", "prop3",
                  {"statement": "prop3", "hypothesis_holds": True,
                   "conclusion_holds": False, "parameters": {},
                   "witnesses": [], "notes": [], "report_only": False,
@@ -422,20 +443,9 @@ def test_catalog_run_only_filter(capsys):
     assert "dihedral" not in out
 
 
-def test_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("PSOLV_SEED", "123")
+def test_seed_default():
     parser = cli.build_parser()
-    args = parser.parse_args(["catalog", "run", "--p", "2"])
-    assert args.seed == 123
-    monkeypatch.setenv("PSOLV_SEED", "junk")
-    parser = cli.build_parser()
-    args = parser.parse_args(["catalog", "run", "--p", "2"])
-    assert args.seed == 0
-
-
-def test_seed_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("PSOLV_SEED", "123")
-    parser = cli.build_parser()
+    assert parser.parse_args(["catalog", "run", "--p", "2"]).seed == 0
     args = parser.parse_args(["catalog", "run", "--p", "2", "--seed", "9"])
     assert args.seed == 9
 

@@ -21,7 +21,7 @@ from psolv.filtrations import (
 )
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
-from psolv.series import derived_series, sylow
+from psolv.series import lower_central_series, sylow
 from psolv.theorems import question7_scan
 from psolv.subgroups import (conjugacy_classes, normal_subgroups,
                              power_subgroup, same_subgroup)
@@ -283,7 +283,7 @@ def test_facts_and_searches_leave_no_reference_cycle():
     try:
         P = g(4, "(1 2 3 4)", "(1 3)")
         ekr_pf_candidates(P, 2, 1, 1)
-        derived_series(P)
+        lower_central_series(P)
         conjugacy_classes(P)
         out = pf_embedded_search(P, 2, P, 1)
         assert out.status == SearchOutcome.NOT_PF_EMBEDDED

@@ -13,7 +13,6 @@ from psolv.series import (
     _core_by_class_closures,
     _prime_power,
     _sylow_conjugates_intersection,
-    derived_series,
     exponent,
     gamma,
     is_p_group,
@@ -64,12 +63,9 @@ def test_lower_central_series():
     assert lower_central_series(D8).orders() == [8, 2, 1]
     assert lower_central_series(C9).orders() == [9, 1]
     assert lower_central_series(S3).orders() == [6, 3, 3]
-
-
-def test_derived_series():
-    assert derived_series(S4).orders() == [24, 12, 4, 1]
-    assert derived_series(A5).orders() == [60, 60]
-    assert derived_series(C9).orders() == [9, 1]
+    assert [label for label, _ in lower_central_series(S3).terms] == \
+        ["gamma_1", "gamma_2", "gamma_3"]
+    assert lower_central_series(trivial_group(3)).orders() == [1]
 
 
 def test_nilpotency_class():
