@@ -443,9 +443,17 @@ def test_catalog_run_only_filter(capsys):
     assert "dihedral" not in out
 
 
-def test_seed_default():
+def test_seed_env_default(monkeypatch):
+    # PSOLV_SEED is not read: the default seed is 0 whatever it holds
+    for value in ("123", "junk"):
+        monkeypatch.setenv("PSOLV_SEED", value)
+        parser = cli.build_parser()
+        assert parser.parse_args(["catalog", "run", "--p", "2"]).seed == 0
+
+
+def test_seed_flag_overrides_env(monkeypatch):
+    monkeypatch.setenv("PSOLV_SEED", "123")
     parser = cli.build_parser()
-    assert parser.parse_args(["catalog", "run", "--p", "2"]).seed == 0
     args = parser.parse_args(["catalog", "run", "--p", "2", "--seed", "9"])
     assert args.seed == 9
 
