@@ -279,13 +279,12 @@ def _cmd_catalog_run(args):
     return _emit_reports(args, run_catalog(args.p, args.seed, args.only))
 
 
-def _add_common(sub, group_source=True, prime=True, search_budget=False):
+def _add_common(sub, group_source=True, search_budget=False):
     if group_source:
         src = sub.add_mutually_exclusive_group(required=True)
         src.add_argument("--recipe", help="catalog recipe, e.g. dihedral:4")
         src.add_argument("--file", help="path to a group JSON document")
-    if prime:
-        sub.add_argument("--p", type=int, required=True, help="the prime")
+    sub.add_argument("--p", type=int, required=True, help="the prime")
     if search_budget:
         sub.add_argument("--search-budget", type=int,
                          default=DEFAULT_SEARCH_BUDGET)

@@ -9,23 +9,46 @@ same chain, the same enumeration order and the same sampling.
 from __future__ import annotations
 
 import functools
-from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch
-from .perm import Permutation, _gather, _make, identity
+from .perm import Permutation, _gather, _make
 
 DEFAULT_ENUM_CAP = 200_000
 _SELF = object()  # kept in G._facts for a group_fact value that is G itself
 
 
+def _orbit(one, gens, point, act):
+    """Walk the orbit of point breadth first (Sims 1970). gens holds (g, g^-1)
+    images, and act(x, i) is x's image under the i-th g. Returns a dict that
+    takes each orbit point y, in the order found, to the images of (u, u^-1),
+    u the first product found that carries point to y; and the steps (u, g, y)
+    that reached a y already found: u * g * v^-1, v stored for y, are the
+    Schreier generators. u * g is u's images gathered from g's, and its
+    inverse is g^-1's gathered from u^-1's, so nothing is inverted."""
+    gens = [(g, _gather(g_inv)) for g, g_inv in gens]
+    transversal = {point: (one, one)}
+    orbit = [point]
+    steps = []
+    for x in orbit:
+        u, u_inv = transversal[x]
+        by_u = _gather(u)
+        for i, (g, by_g_inv) in enumerate(gens):
+            y = act(x, i)
+            if y in transversal:
+                steps.append((u, g, y))
+            else:
+                transversal[y] = (by_u(g), by_g_inv(u_inv))
+                orbit.append(y)
+    return transversal, steps
+
+
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("point", "gens", "transversal")
 
     def __init__(self, point):
         self.point = point
         self.gens = []  # (s, s^-1) images, s a strong generator first moving this point
-        self.transversal = {}  # orbit point -> u with u[base point] == point
-        self.inverses = {}  # orbit point -> the images of that u^-1
+        self.transversal = {}  # orbit point -> (u, u^-1) images, u[base point] == point
 
 
 class StabilizerChain:
@@ -56,23 +79,8 @@ class StabilizerChain:
         return out
 
     def _rebuild_orbit(self, i):
-        # u * s has images s[u[x]], and its inverse s^-1 * u^-1 has images
-        # u^-1[s^-1[x]]: one gather each, and no inverse() per element
-        lv = self.levels[i]
-        gens = [(s, _gather(s_inv)) for s, s_inv in self._gens_at(i)]
-        lv.transversal = {lv.point: _make(self.one)}
-        lv.inverses = {lv.point: self.one}
-        queue = deque([lv.point])
-        while queue:
-            a = queue.popleft()
-            by_t = _gather(lv.transversal[a].images)
-            t_inv = lv.inverses[a]
-            for s, by_s_inv in gens:
-                b = s[a]
-                if b not in lv.inverses:
-                    lv.transversal[b] = _make(by_t(s))
-                    lv.inverses[b] = by_s_inv(t_inv)
-                    queue.append(b)
+        lv, gens = self.levels[i], self._gens_at(i)
+        lv.transversal = _orbit(self.one, gens, lv.point, lambda a, k: gens[k][0][a])[0]
 
     def _add_generator(self, j, images):
         h = _make(images)
@@ -94,10 +102,10 @@ class StabilizerChain:
         where it left the chain, or len(levels) when it went through)."""
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            u_inv = lv.inverses.get(x[lv.point])
-            if u_inv is None:
+            pair = lv.transversal.get(x[lv.point])
+            if pair is None:
                 return x, i
-            x = _gather(x)(u_inv)
+            x = _gather(x)(pair[1])
         return x, len(self.levels)
 
     def _close(self):
@@ -110,10 +118,10 @@ class StabilizerChain:
             gens = self._gens_at(i)
             restart = False
             for beta in sorted(lv.transversal):
-                by_u = _gather(lv.transversal[beta].images)
+                by_u = _gather(lv.transversal[beta][0])
                 for s, _ in gens:
                     # u * s * t^-1 has images t^-1[s[u[x]]]
-                    schreier = _gather(by_u(s))(lv.inverses[s[beta]])
+                    schreier = _gather(by_u(s))(lv.transversal[s[beta]][1])
                     if schreier == self.one:
                         continue
                     residue, j = self._strip(schreier, i + 1)
@@ -139,13 +147,13 @@ class StabilizerChain:
     def iter_elements(self):
         """Every element exactly once, in a fixed order determined by the chain:
         level i yields h * t for t in its sorted transversal, h in level i + 1."""
-        out = [identity(self.degree)]
+        out = [self.one]
         for lv in reversed(self.levels):
-            ts = [lv.transversal[beta] for beta in sorted(lv.transversal)]
+            ts = [lv.transversal[beta][0] for beta in sorted(lv.transversal)]
             # h * t has images t[h[x]]: one gather by h's images per product
-            gathers = [_gather(h.images) for h in out]
-            out = [_make(gather(t.images)) for t in ts for gather in gathers]
-        return out
+            gathers = [_gather(h) for h in out]
+            out = [gather(t) for t in ts for gather in gathers]
+        return list(map(_make, out))
 
 
 class PermutationGroup:

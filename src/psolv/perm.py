@@ -43,7 +43,7 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n or seen[x]:
                 raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
             seen[x] = True
         self.images = images
@@ -143,6 +143,8 @@ def from_cycles(degree: int, cycles) -> Permutation:
     """Build a permutation from 0-based cycles."""
     images = list(range(degree))
     for cyc in cycles:
+        if len(set(cyc)) != len(cyc):
+            raise ValueError("a point is repeated inside one cycle")
         for i, x in enumerate(cyc):
             y = cyc[(i + 1) % len(cyc)]
             if not 0 <= x < degree:
@@ -174,8 +176,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             if not p.isdigit() or int(p) < 1:
                 raise ValueError(f"bad point {p!r} in cycle text {text!r}")
             cyc.append(int(p) - 1)
-        if len(set(cyc)) != len(cyc):
-            raise ValueError(f"repeated point inside a cycle: {text!r}")
         cycles.append(tuple(cyc))
     needed = 1 + max((max(c) for c in cycles), default=0)
     if degree is None:

@@ -12,7 +12,7 @@ from array import array
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
-from .group import PermutationGroup, _grow, group_fact, span, trivial_group
+from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
 from .perm import Permutation, _gather, _make, identity
 
 NORMAL_SUBGROUP_LIMIT = 20_000
@@ -166,32 +166,18 @@ def _conjugation_action(G: PermutationGroup) -> tuple:
 
 def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> PermutationGroup:
     """The stabilizer in G of point, grown from seed; act(x, i) is x's image
-    under the i-th generator of G. Schreier generators of the walked orbit
-    (Sims 1970) join while outside the group so far, until its order is
-    |G| / |orbit|; running out below that raises InternalMismatch.
-
-    The walk keeps image tuples: each transversal element u with the images
-    of u^-1, so u * g is u's images gathered from g's, (u * g)^-1 is g^-1's
-    gathered from u^-1's, and u * g * v^-1 is two gathers."""
+    under the i-th generator of G. The Schreier generators u * g * v^-1 of
+    the orbit walk's steps (group._orbit) join while outside the group so
+    far, until its order is |G| / |orbit|; running out below that raises
+    InternalMismatch."""
     one = tuple(range(G.degree))
-    gens = [(g.images, _gather(g.inverse().images)) for g in G.generators]
-    transversal = {point: (one, one)}  # orbit point -> (u, u^-1) images
-    orbit = [point]
-    edges = []  # (u_x, g, x^g): u_x * g * u_(x^g)^-1 fixes point
-    for x in orbit:
-        u, u_inv = transversal[x]
-        for i, (g, by_g_inv) in enumerate(gens):
-            y = act(x, i)
-            if y in transversal:
-                edges.append((u, g, y))
-            else:
-                transversal[y] = (_gather(u)(g), by_g_inv(u_inv))
-                orbit.append(y)
-    schreier = (_gather(_gather(u)(g))(transversal[y][1]) for u, g, y in edges)
-    N = _grow(seed, (_make(s) for s in schreier if s != one), G.order() // len(orbit))
-    if N.order() * len(orbit) != G.order():
+    gens = [(g.images, g.inverse().images) for g in G.generators]
+    transversal, steps = _orbit(one, gens, point, act)
+    schreier = (_gather(_gather(u)(g))(transversal[y][1]) for u, g, y in steps)
+    N = _grow(seed, (_make(s) for s in schreier if s != one), G.order() // len(transversal))
+    if N.order() * len(transversal) != G.order():
         raise InternalMismatch(
-            f"stabilizer order {N.order()} times orbit length {len(orbit)} "
+            f"stabilizer order {N.order()} times orbit length {len(transversal)} "
             f"disagrees with group order {G.order()}")
     return span(G.degree, N.elements(), N.order())
 

@@ -1,12 +1,12 @@
 """The gather kernels against the plain Permutation arithmetic.
 
-StabilizerChain (its orbits, sift and Schreier test), iter_elements, the
-conjugation action and subgroups._stabilizer build their elements through
-perm._gather, not Permutation.__mul__; these tests rebuild them with
-products, inverses and conjugates, on fixed groups from degree 1 up and on
-small groups drawn at random, and check that the chains, the order of the
-elements, the action and the normalizer and centralizer built on it all
-agree.
+The orbit walk group._orbit, StabilizerChain (its orbits, sift and Schreier
+test), iter_elements, the conjugation action and subgroups._stabilizer
+build their elements through perm._gather, not Permutation.__mul__; these
+tests rebuild them with products, inverses and conjugates, on fixed groups
+from degree 1 up and on small groups drawn at random, and check that the
+walks, the chains, the order of the elements, the action and the
+normalizer and centralizer built on it all agree.
 """
 
 import random
@@ -15,10 +15,11 @@ from functools import partial
 import pytest
 
 from psolv.catalog import build_group
-from psolv.group import PermutationGroup, span, trivial_group
+from psolv.group import PermutationGroup, _orbit, span, trivial_group
 from psolv.perm import Permutation, _gather, _make, identity
-from psolv.subgroups import (_conjugation_action, _element_positions,
-                             centralizer, normalizer, same_subgroup)
+from psolv.subgroups import (_conjugation_action, _conjugator,
+                             _element_positions, centralizer, normalizer,
+                             same_subgroup)
 
 from oracles import centralizer_set, normalizer_set
 
@@ -54,7 +55,7 @@ def _products(chain):
     # the enumeration order iter_elements documents, built with __mul__
     out = [identity(chain.degree)]
     for lv in reversed(chain.levels):
-        ts = [lv.transversal[beta] for beta in sorted(lv.transversal)]
+        ts = [_make(lv.transversal[beta][0]) for beta in sorted(lv.transversal)]
         out = [h * t for t in ts for h in out]
     return out
 
@@ -193,16 +194,18 @@ def test_chain_matches_the_reference_level_by_level(chained):
         assert [s for s, _ in lv.gens] == [s.images for s in ref.gens]
         for s, s_inv in lv.gens:
             assert _make(s) * _make(s_inv) == one
-        assert sorted(lv.transversal) == sorted(ref.transversal)
-        assert sorted(lv.inverses) == sorted(ref.transversal)
+        # the same orbit points in the same discovery order
+        assert list(lv.transversal) == list(ref.transversal)
         for beta, u in ref.transversal.items():
-            assert lv.transversal[beta] == u
-            assert _make(lv.inverses[beta]) * u == one
+            u_images, u_inv = lv.transversal[beta]
+            assert u_images == u.images
+            assert _make(u_inv) * u == one
     assert chain.order() == chained.order()
 
 
 def test_strip_matches_the_reference_sift(chained):
     chain = chained.chain
+    want_levels = _ReferenceChain(chained.degree, chained.generators).levels
     rng = random.Random(chained.degree * 1000 + chained.order())
     els = chained.elements()
     members = set(els)
@@ -212,7 +215,7 @@ def test_strip_matches_the_reference_sift(chained):
     for g in inside + drawn:
         for start in range(len(chain.levels) + 1):
             residue, level = chain._strip(g.images, start)
-            want, want_level = _reference_strip(chain.levels, g, start)
+            want, want_level = _reference_strip(want_levels, g, start)
             assert (residue, level) == (want.images, want_level)
         assert chain.contains(g) == (g in members)
 
@@ -227,3 +230,48 @@ def test_normalizer_matches_a_scan_of_the_elements(G):
         N = normalizer(G, H)
         assert same_subgroup(N, span(G.degree, want)), H
         assert N.order() == len(want)
+
+
+def _conjugate_keys(G):
+    # normalizer's action: a conjugate H^x keyed by the sorted positions of
+    # its elements in G.elements(), with H generated by G's last generator
+    H = PermutationGroup(G.degree, G.generators[-1:])
+    positions = _element_positions(G)
+    maps = _conjugation_action(G)
+
+    def key(x):
+        return tuple(sorted(positions[h.conjugate(x).images] for h in H.elements()))
+    return key(identity(G.degree)), lambda k, i: tuple(sorted([maps[i][j] for j in k])), key
+
+
+def _generator_tuples(G):
+    # centralizer's action: the images of S's generators conjugated by x,
+    # with S generated by two drawn elements of G
+    rng = random.Random(G.order() + 3)
+    S = [rng.choice(G.elements()) for _ in range(2)]
+    conjs = [_conjugator(g) for g in G.generators]
+
+    def tup(x):
+        return tuple(s.conjugate(x).images for s in S)
+    return tup(identity(G.degree)), lambda t, i: tuple(map(conjs[i], t)), tup
+
+
+@pytest.mark.parametrize("action", [_conjugate_keys, _generator_tuples])
+@pytest.mark.parametrize("name", ["S4", "D8", "drawn-5"])
+def test_orbit_walk_against_permutation_arithmetic(name, action):
+    G = GROUPS[name]()
+    point, act, image = action(G)
+    one = identity(G.degree)
+    transversal, steps = _orbit(
+        one.images, [(g.images, g.inverse().images) for g in G.generators], point, act)
+    assert next(iter(transversal)) == point
+    for y, (u, u_inv) in transversal.items():
+        assert image(_make(u)) == y
+        assert _make(u) * _make(u_inv) == one
+    assert len(steps) + len(transversal) - 1 == len(transversal) * len(G.generators)
+    for u, g, y in steps:
+        schreier = _make(u) * _make(g) * _make(transversal[y][0]).inverse()
+        if schreier != one:
+            assert image(schreier) == point
+    stabilizer = [x for x in G.elements() if image(x) == point]
+    assert len(transversal) * len(stabilizer) == G.order()

@@ -63,6 +63,12 @@ def test_from_cycles_zero_based():
     assert g == parse_cycles("(1 2 3)", 4)
 
 
+@pytest.mark.parametrize("cycles", [[(0, 0)], [(1, 2, 1)], [(2, 2, 2)]])
+def test_from_cycles_rejects_a_point_repeated_inside_a_cycle(cycles):
+    with pytest.raises(ValueError, match="inside one cycle"):
+        from_cycles(3, cycles)
+
+
 def test_degree_mismatch_on_product():
     with pytest.raises(DegreeMismatch):
         identity(3) * identity(4)
@@ -84,6 +90,14 @@ def test_parse_degree_too_small():
 def test_not_a_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+@pytest.mark.parametrize("images", [(True, False), (False, True, 2), (0, True)])
+def test_bool_images_are_refused(images):
+    # True == 1 and False == 0, but a bool image would be written to a
+    # report as true or false
+    with pytest.raises(ValueError):
+        Permutation(images)
 
 
 def test_hashable_and_sortable_by_images():
