@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedParameters,
 )
 from .filtrations import (
-    DEFAULT_SEARCH_BUDGET,
     Filtration,
     _ekr_pieces,
     compute_ekr,
@@ -214,7 +213,7 @@ def _cmd_pf_search(args):
     G, gid = _load_group(args)
     P = sylow(G, args.p)
     N = resolve_subgroup(args.normal, G, args.p)
-    out = pf_embedded_search(P, args.p, N, args.ell, args.search_budget)
+    out = pf_embedded_search(P, args.p, N, args.ell)
     payload = {"group_id": gid, "n_order": N.order(), "p": args.p,
                "ell": args.ell, "outcome": out.to_payload()}
     lines = [f"{gid} | start of a type-{args.ell} chain from a subgroup of "
@@ -260,8 +259,7 @@ def _cmd_verify_o24(args):
 
 def _cmd_scan_question7(args):
     G, gid = _load_group(args)
-    return _emit_verdicts(args, gid, question7_scan(
-        G, args.p, args.ell, args.search_budget))
+    return _emit_verdicts(args, gid, question7_scan(G, args.p, args.ell))
 
 
 def _cmd_verify_hall_higman(args):
@@ -279,15 +277,12 @@ def _cmd_catalog_run(args):
     return _emit_reports(args, run_catalog(args.p, args.seed, args.only))
 
 
-def _add_common(sub, group_source=True, search_budget=False):
+def _add_common(sub, group_source=True):
     if group_source:
         src = sub.add_mutually_exclusive_group(required=True)
         src.add_argument("--recipe", help="catalog recipe, e.g. dihedral:4")
         src.add_argument("--file", help="path to a group JSON document")
     sub.add_argument("--p", type=int, required=True, help="the prime")
-    if search_budget:
-        sub.add_argument("--search-budget", type=int,
-                         default=DEFAULT_SEARCH_BUDGET)
     sub.add_argument("--seed", type=int, default=0,
                      help="seed of the linear-action sampling; only "
                           "catalog run reads it")
@@ -322,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_pf_verify)
     sub = pf_sub.add_parser("search",
                             help="decide whether a subgroup starts a chain")
-    _add_common(sub, search_budget=True)
+    _add_common(sub)
     sub.add_argument("--ell", type=int, default=1)
     sub.add_argument("--normal", required=True, help="subgroup token")
     sub.set_defaults(handler=_cmd_pf_search)
@@ -363,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = commands.add_parser("scan", help="sweep a family of instances")
     scan_sub = scan.add_subparsers(dest="scan_command", required=True)
     sub = scan_sub.add_parser("question7")
-    _add_common(sub, search_budget=True)
+    _add_common(sub)
     sub.add_argument("--ell", type=int, default=1)
     sub.set_defaults(handler=_cmd_scan_question7)
 

@@ -49,7 +49,6 @@ from .subgroups import (
 )
 from .verdicts import Verdict
 
-DEFAULT_SEARCH_BUDGET = 50_000
 # the most construction steps a chain may take; also the ceiling on the
 # type ell of verify main and verify thm6, and on r + l in verify o24
 DEFAULT_LENGTH_CAP = 64
@@ -362,10 +361,6 @@ class SearchOutcome:
         }
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 @group_fact
 def _search_table(P: PermutationGroup, p: int, ell: int):
     """One row per member N of normal_subgroups(P): the element masks over P
@@ -384,14 +379,12 @@ def _search_table(P: PermutationGroup, p: int, ell: int):
     return tuple(rows)
 
 
-def _extend(table, memo, budget, x):
+def _extend(table, memo, x):
     """A strictly descending chain of table indices from x to the trivial
     member, or None. Every index visited is one search node with one memo
-    entry; a node past the budget raises _BudgetHit."""
+    entry, so a search visits each lattice member at most once."""
     if x in memo:
         return memo[x]
-    if len(memo) >= budget:
-        raise _BudgetHit
     n, bracket, folded, _ = table[x]
     if n.bit_count() == 1:
         memo[x] = [x]
@@ -406,7 +399,7 @@ def _extend(table, memo, budget, x):
         # contains the ell-fold commutator
         if sub & ~n or bracket & ~sub or folded & ~power:
             continue
-        tail = _extend(table, memo, budget, m)
+        tail = _extend(table, memo, m)
         if tail is not None:
             memo[x] = [x] + tail
             return memo[x]
@@ -414,27 +407,26 @@ def _extend(table, memo, budget, x):
 
 
 def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
-                       ell: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
+                       ell: int) -> SearchOutcome:
     """Decide whether N starts a type-ell potent filtration of P.
 
     Exact backtracking over strictly descending chains of normal subgroups;
     repeating a term never helps, so strict descent loses nothing. The
     lattice always comes from exhaustive_lattice(P, p), so it is only
     enumerated for tiny ambient orders (512 / 729 / 3125 for p = 2 / 3 / 5,
-    p^3 otherwise) and once per group object; larger P, an enumeration
-    overflow, or running out of node budget all report "exhausted" rather
-    than guessing. "not_pf_embedded" is only returned after the full space
-    is searched. Lattice members, their commutators with P and their p-th
-    powers are compared as element masks over P, read from one table per
-    prime and type that every search on P shares. A negative budget raises
-    UnsupportedParameters; a budget of 0 is legal.
+    p^3 otherwise) and once per group object; a P the gate refuses (by
+    order, by the count of subspaces of P/Phi(P), or by an enumeration
+    overflow) reports "exhausted" rather than guessing. The search visits
+    each lattice member at most once, so the lattice cap bounds its nodes.
+    "not_pf_embedded" is only returned after the full space is searched.
+    Lattice members, their commutators with P and their p-th powers are
+    compared as element masks over P, read from one table per prime and
+    type that every search on P shares.
     """
     require_prime(p)
     check_p_group(P, p)
     if ell < 0:
         raise PreconditionViolated("filtration type must be nonnegative")
-    if budget < 0:
-        raise UnsupportedParameters(f"the search budget must be nonnegative, got {budget}")
     notes = [ELL_ZERO_NOTE] if ell == 0 else []
     if N.degree != P.degree or not is_normal(P, N):
         raise PreconditionViolated(
@@ -462,13 +454,7 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
                                "enumeration")
 
     memo: dict[int, list | None] = {}
-    try:
-        chain = _extend(table, memo, budget, start)
-    except _BudgetHit:
-        notes.append(f"search budget of {budget} nodes hit")
-        # the node that went over the budget is counted too
-        return SearchOutcome(SearchOutcome.EXHAUSTED, None, len(memo) + 1,
-                             tuple(notes))
+    chain = _extend(table, memo, start)
     nodes = len(memo)
 
     if chain is None:

@@ -140,29 +140,28 @@ def identity(degree: int) -> Permutation:
 
 
 def from_cycles(degree: int, cycles) -> Permutation:
-    """Build a permutation from 0-based cycles."""
+    """Build a permutation from 0-based cycles. Its error messages name
+    points 1-based, as cycle notation writes them."""
     images = list(range(degree))
+    placed = set()
     for cyc in cycles:
         if len(set(cyc)) != len(cyc):
             raise ValueError("a point is repeated inside one cycle")
         for i, x in enumerate(cyc):
-            y = cyc[(i + 1) % len(cyc)]
             if not 0 <= x < degree:
-                raise ValueError(f"point {x} out of range for degree {degree}")
-            if images[x] != x:
-                raise ValueError(f"point {x} appears in two cycles")
-            images[x] = y
+                raise ValueError(f"point {x + 1} out of range for degree {degree}")
+            if x in placed:
+                raise ValueError(f"point {x + 1} appears in two cycles")
+            placed.add(x)
+            images[x] = cyc[(i + 1) % len(cyc)]
     return Permutation(images)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Permutation:
-    """Parse 1-based cycle notation like '(1 2)(3 4)' (commas also accepted).
-
-    When degree is omitted it is inferred from the largest point named.
-    """
+def parse_cycles(text: str, degree: int) -> Permutation:
+    """Parse 1-based cycle notation like '(1 2)(3 4)' (commas also accepted)."""
     cycles = []
     consumed = _CYCLE_RE.sub("", text)
     if consumed.strip(" ,"):
@@ -178,8 +177,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             cyc.append(int(p) - 1)
         cycles.append(tuple(cyc))
     needed = 1 + max((max(c) for c in cycles), default=0)
-    if degree is None:
-        degree = needed
     if degree < needed:
         raise ValueError(f"cycle text {text!r} needs degree >= {needed}, got {degree}")
     return from_cycles(degree, cycles)

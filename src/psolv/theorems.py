@@ -17,11 +17,9 @@ from .errors import (
     InternalMismatch,
     NotPSolvable,
     PreconditionViolated,
-    UnsupportedParameters,
 )
 from .filtrations import (
     DEFAULT_LENGTH_CAP,
-    DEFAULT_SEARCH_BUDGET,
     Filtration,
     SearchOutcome,
     compute_ekr,
@@ -423,8 +421,7 @@ def check_O24_inclusion(G: PermutationGroup, V: PermutationGroup,
     return Verdict("o24", True, not witnesses, params, witnesses)
 
 
-def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
-                   budget: int = DEFAULT_SEARCH_BUDGET):
+def question7_scan(G: PermutationGroup, p: int, ell: int = 1):
     """For every normal subgroup of a Sylow p-subgroup that starts a type-ell
     potent filtration, report whether it lies in the p'-then-p core.
 
@@ -432,13 +429,12 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
     counterexample would be interesting, not a bug. Groups that are not
     p-solvable or whose Sylow subgroup `exhaustive_lattice` refuses (its
     order is above the search limit, or its lattice overflows the cap) are
-    skipped with a note.
+    skipped with a note; every other search visits each member of the
+    lattice at most once and is decided.
     """
     require_prime(p)
     if ell < 0:
         raise PreconditionViolated("the type must be nonnegative")
-    if budget < 0:
-        raise UnsupportedParameters(f"the search budget must be nonnegative, got {budget}")
     base_params = {"p": p, "ell": ell, "group_order": G.order()}
     if not is_p_solvable(G, p):
         return [Verdict.skip("question7", base_params,
@@ -457,15 +453,10 @@ def question7_scan(G: PermutationGroup, p: int, ell: int = 1,
 
     out = []
     for N in normals:
-        res = pf_embedded_search(P, p, N, ell, budget)
+        res = pf_embedded_search(P, p, N, ell)
         params = dict(base_params)
         params["n_order"] = N.order()
         params["search_nodes"] = res.nodes
-        if res.status == SearchOutcome.EXHAUSTED:
-            out.append(Verdict("question7", False, None, params,
-                               notes=("undecided: " + "; ".join(res.notes),),
-                               report_only=True))
-            continue
         if res.status != SearchOutcome.FOUND:
             continue
         witnesses = _outside("embedded subgroup escapes the core", N, core)

@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from psolv.catalog import build_group
+from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import (LengthCapExceeded, NotAPGroup, NotNormal,
                           PreconditionViolated, UnsupportedParameters)
 from psolv.filtrations import (
@@ -198,10 +198,24 @@ def test_search_within_abelian_always_succeeds():
         assert out.status == SearchOutcome.FOUND
 
 
-def test_search_budget_exhaustion_is_a_status_not_an_error():
-    out = pf_embedded_search(D8, 2, C4, 1, budget=0)
-    assert out.status == SearchOutcome.EXHAUSTED
-    assert out.notes
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_lattice_gate_bounds_every_search(p):
+    # a search visits each lattice member at most once, so on any Sylow
+    # subgroup the gate accepts it is decided within one node per member
+    sizes = {}
+    for gid in DEFAULT_CATALOG:
+        P = sylow(build_group(gid), p)
+        normals, refused = exhaustive_lattice(P, p)
+        if refused is not None:
+            continue
+        sizes[gid] = len(normals)
+        for N in normals:
+            for ell in (0, 1, 2):
+                out = pf_embedded_search(P, p, N, ell)
+                assert out.status != SearchOutcome.EXHAUSTED
+                assert out.nodes <= len(normals)
+    if p == 2:
+        assert sizes["wreath_cyclic:2:5"] == 374
 
 
 def test_search_order_limit_is_a_status_not_an_error():

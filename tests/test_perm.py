@@ -69,6 +69,18 @@ def test_from_cycles_rejects_a_point_repeated_inside_a_cycle(cycles):
         from_cycles(3, cycles)
 
 
+@pytest.mark.parametrize("build, point", [
+    (lambda: from_cycles(3, [(0,), (0, 1)]), 1),
+    (lambda: parse_cycles("(1)(1 2)", 3), 1),
+    (lambda: parse_cycles("(1 2)(2)", 3), 2),
+], ids=["from_cycles", "(1)(1 2)", "(1 2)(2)"])
+def test_a_one_cycle_counts_as_a_cycle(build, point):
+    # a fixed point written as (x) is placed, so a second cycle through x
+    # is refused; the message names x 1-based, as cycle notation writes it
+    with pytest.raises(ValueError, match=f"point {point} appears in two cycles"):
+        build()
+
+
 def test_degree_mismatch_on_product():
     with pytest.raises(DegreeMismatch):
         identity(3) * identity(4)
