@@ -9,6 +9,7 @@ bug in this package and should crash loudly.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -379,6 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's live tables (S8's 40,320 elements) are what the cyclic
+    # collector would scan; the garbage it would find is a few hundred
+    # objects from argparse and json whatever the group, so it is paused
+    # while the handler runs and the caller's setting is put back after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except InternalMismatch:
@@ -396,6 +403,9 @@ def main(argv=None) -> int:
     except OSError as e:
         sys.stderr.write(f"psolv: error: {e}\n")
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from operator import itemgetter
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
@@ -145,10 +146,15 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
 
 def _conjugator(g: Permutation):
     """The function taking y's images to those of g^-1 * y * g, which are
-    g[y[g^-1[b]]] for each point b: two C-level gathers per conjugate."""
-    before = _gather(g.inverse().images)
+    g[y[g^-1[b]]] for each point b: y gathers g's images, and one
+    itemgetter over g^-1's images, built once per g, puts them in b's
+    order. On one point y can only be the identity and is returned as
+    it is, since itemgetter(i) yields a bare int."""
+    if g.degree == 1:
+        return lambda y: y
     gi = g.images
-    return lambda y: _gather(before(y))(gi)
+    after = itemgetter(*g.inverse().images)
+    return lambda y: after(itemgetter(*y)(gi))
 
 
 @group_fact

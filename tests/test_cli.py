@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -10,6 +11,7 @@ import psolv.theorems as theorems
 from psolv.battery import battery_for_group
 from psolv.catalog import (DEFAULT_CATALOG, Report, build_group,
                            emit_report, parse_group)
+from psolv.errors import InternalMismatch
 from psolv.filtrations import Filtration
 from psolv.group import trivial_group
 from psolv.series import sylow
@@ -411,6 +413,74 @@ def test_bad_group_document_reports_location(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--file", str(doc), "--p", "2")
     assert code == 1
     assert "generators[0]" in err
+
+
+def test_the_collector_is_paused_only_while_a_command_runs(tmp_path, capsys,
+                                                          monkeypatch):
+    seen = []
+    inner = cli.analyze_group
+
+    def recording(G, p):
+        seen.append(gc.isenabled())
+        return inner(G, p)
+
+    monkeypatch.setattr(cli, "analyze_group", recording)
+    assert gc.isenabled()
+    code, out, err = run(capsys, "analyze", "--recipe", "symmetric:3",
+                         "--p", "2")
+    assert code == 0, err
+    assert seen == [False]
+    assert gc.isenabled()
+    for argv in (("--recipe", "symmetric:4", "--p", "4"),
+                 ("--file", str(tmp_path / "no.json"), "--p", "2")):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 1
+        assert err.startswith("psolv: error:")
+        assert gc.isenabled()
+
+
+def test_the_collector_is_back_on_after_an_internal_mismatch(monkeypatch):
+    def broken(G, p):
+        raise InternalMismatch("forced")
+
+    monkeypatch.setattr(cli, "analyze_group", broken)
+    with pytest.raises(InternalMismatch):
+        cli.main(["analyze", "--recipe", "symmetric:3", "--p", "2"])
+    assert gc.isenabled()
+
+
+def test_a_caller_with_the_collector_off_finds_it_off(capsys):
+    gc.disable()
+    try:
+        for p in ("2", "4"):
+            run(capsys, "analyze", "--recipe", "symmetric:3", "--p", p)
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _cyclic_garbage(capsys, *argv):
+    """The number of objects the cyclic collector frees after one command
+    run with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        gc.enable()
+    assert code == 0, err
+    return gc.collect()
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_work(capsys):
+    # cli.main pauses the collector while a command runs; that defers no
+    # garbage that grows with the groups, only what argparse and json leave
+    sweep = ("catalog", "run", "--p", "2", "--format", "structured")
+    assert (_cyclic_garbage(capsys, *sweep)
+            == _cyclic_garbage(capsys, *sweep, "--only", "cyclic:2"))
+    analyze = ("analyze", "--p", "2", "--format", "structured", "--recipe")
+    assert (_cyclic_garbage(capsys, *analyze, "symmetric:8")
+            == _cyclic_garbage(capsys, *analyze, "symmetric:3"))
 
 
 def test_finding_exits_2(capsys, monkeypatch):
