@@ -71,7 +71,7 @@ def battery_for_group(G, gid: str, p: int, seed: int):
     verdicts.append(hall_higman_bound(G, p))
 
     P = sylow(G, p)
-    normals_P, _ = exhaustive_lattice(P, p)
+    normals_P = exhaustive_lattice(P, p)
 
     # collect verified chains from the canonical candidates and the searches,
     # then re-derive each one's consequences

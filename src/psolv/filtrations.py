@@ -53,17 +53,8 @@ from .verdicts import Verdict
 # type ell of verify main and verify thm6, and on r + l in verify o24
 DEFAULT_LENGTH_CAP = 64
 
-# exhaustive normal-subgroup enumeration is only attempted below these
-# ambient orders; beyond them the search reports "exhausted" rather than guess
-SEARCH_ORDER_LIMITS = {2: 512, 3: 729, 5: 3125}
-
 ELL_ZERO_NOTE = ("type 0 uses the literal reading: the potency condition "
                  "degenerates to N_i <= N_{i+1}^p")
-
-
-def search_order_limit(p: int) -> int:
-    """Largest ambient order the exhaustive lattice search is tried at."""
-    return SEARCH_ORDER_LIMITS.get(p, p ** 3)
 
 
 @group_fact
@@ -80,21 +71,22 @@ def _frattini_subspaces(P: PermutationGroup, p: int) -> int:
     return sum(row)
 
 
+@group_fact
 def exhaustive_lattice(P: PermutationGroup, p: int):
-    """The gate of every exhaustive PF search over P: (normal_subgroups(P),
-    None) when a search may run, else (None, reason) with reason "order"
-    when |P| is above search_order_limit(p) and "lattice" when the lattice
-    overflows NORMAL_SUBGROUP_LIMIT. A lattice that P/Phi(P) alone makes
-    too large is refused before any member is closed. Callers word their
-    notes from it."""
-    if P.order() > search_order_limit(p):
-        return None, "order"
-    if _frattini_subspaces(P, p) > subgroups.NORMAL_SUBGROUP_LIMIT:
-        return None, "lattice"
+    """The gate of every exhaustive PF search over P: normal_subgroups(P)
+    when a search may run, else None, when the lattice needs more than
+    subgroups.LATTICE_WORK_LIMIT units of work. Each member after the
+    trivial group costs at least one closure of |P| units, so a P whose
+    quotient P/Phi(P) has F subspaces is refused before any closure when
+    (F - 1) * |P| is above the limit. Cached on P, so a refusal found
+    while the lattice is enumerated is paid once per group object."""
     try:
-        return normal_subgroups(P), None
+        if ((_frattini_subspaces(P, p) - 1) * P.order()
+                <= subgroups.LATTICE_WORK_LIMIT):
+            return normal_subgroups(P)
     except CapExceeded:
-        return None, "lattice"
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -412,12 +404,12 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
 
     Exact backtracking over strictly descending chains of normal subgroups;
     repeating a term never helps, so strict descent loses nothing. The
-    lattice always comes from exhaustive_lattice(P, p), so it is only
-    enumerated for tiny ambient orders (512 / 729 / 3125 for p = 2 / 3 / 5,
-    p^3 otherwise) and once per group object; a P the gate refuses (by
-    order, by the count of subspaces of P/Phi(P), or by an enumeration
-    overflow) reports "exhausted" rather than guessing. The search visits
-    each lattice member at most once, so the lattice cap bounds its nodes.
+    lattice always comes from exhaustive_lattice(P, p), so it is enumerated
+    once per group object and only within subgroups.LATTICE_WORK_LIMIT
+    units of work; a P the gate refuses (by the count of subspaces of
+    P/Phi(P), or once the enumeration passes the limit) reports "exhausted"
+    rather than guessing. The search visits each lattice member at most
+    once, so the lattice bounds its nodes.
     "not_pf_embedded" is only returned after the full space is searched.
     Lattice members, their commutators with P and their p-th powers are
     compared as element masks over P, read from one table per prime and
@@ -436,13 +428,9 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         F = Filtration(P, p, ell, (N,))
         return SearchOutcome(SearchOutcome.FOUND, F, 0, tuple(notes))
 
-    normals, refused = exhaustive_lattice(P, p)
-    if refused is not None:
-        notes.append(
-            f"ambient order {P.order()} is above the exhaustive "
-            f"enumeration limit {search_order_limit(p)}"
-            if refused == "order"
-            else "normal subgroup enumeration overflowed its cap")
+    normals = exhaustive_lattice(P, p)
+    if normals is None:
+        notes.append("normal subgroup enumeration overflowed its cap")
         return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
     table = _search_table(P, p, ell)

@@ -16,7 +16,8 @@ from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
 from .perm import Permutation, _gather, _make, identity
 
-NORMAL_SUBGROUP_LIMIT = 20_000
+# the most work normal_subgroups may do, counted as in its docstring
+LATTICE_WORK_LIMIT = 2_000_000
 
 
 def _check_degrees(*groups):
@@ -288,17 +289,35 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
     normal K and a class C outside it, K<C> is the closure of K under right
     multiplication by C, and only a mask not seen before is turned into a
     group by span. The result is sorted by order, then by sorted element
-    images. Intended for small groups; raises CapExceeded past
-    NORMAL_SUBGROUP_LIMIT subgroups.
+    images.
+
+    The work is counted in units: each closure pays |G| for the scan of
+    its starting mask, and each frontier round then pays |frontier| * |C|,
+    one unit per product x * c. CapExceeded is raised in the round that
+    takes the count past LATTICE_WORK_LIMIT, or before any closure when
+    the closures of the trivial group by each nontrivial class would
+    already pass it.
     """
     els = G.elements()
     positions = _element_positions(G)
     classes = [cls for cls in conjugacy_classes(G) if not cls[0].is_identity()]
+    overflow = (f"the normal subgroup lattice needs more than "
+                f"{LATTICE_WORK_LIMIT} units of work")
+    # the trivial group alone is closed by every class, at |G| units each;
+    # refusing here spares the class masks, |G| bits per class
+    if len(classes) * len(els) > LATTICE_WORK_LIMIT:
+        raise CapExceeded(overflow)
     class_masks = [element_mask(G, cls) for cls in classes]
+    work = 0
 
     def close(mask, cls):
+        nonlocal work
         frontier = [i for i in range(len(els)) if mask >> i & 1]
+        work += len(els)
         while frontier:
+            work += len(frontier) * len(cls)
+            if work > LATTICE_WORK_LIMIT:
+                raise CapExceeded(overflow)
             grown = []
             for i in frontier:
                 x = els[i]
@@ -322,9 +341,6 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
             m = close(k, cls)
             if m in found:
                 continue
-            if len(found) >= NORMAL_SUBGROUP_LIMIT:
-                raise CapExceeded(
-                    f"more than {NORMAL_SUBGROUP_LIMIT} normal subgroups")
             K2 = span(G.degree, kgens + list(cls))
             if K2.order() != m.bit_count():
                 raise InternalMismatch(

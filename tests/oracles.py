@@ -63,9 +63,11 @@ def conjugacy_class_of(G, x):
 def normal_subgroup_sets(G_elems, degree):
     """All normal subgroups, as element sets.
 
-    A normal subgroup is a union of conjugacy classes that happens to be a
-    subgroup, so enumerate class unions and keep the ones closed under
-    products. Exponential in the class count; fine for the test groups.
+    A normal subgroup N is the union of the conjugacy classes it contains,
+    so N is reached from {1} by adding those classes one at a time: for a
+    normal K and a class C, the subgroup K<C> is the closure of K under
+    right multiplication by C, and it is normal again. Walk every such step
+    from every subgroup found. Fine for the test groups.
     """
     e = identity(degree)
     classes = []
@@ -76,19 +78,23 @@ def normal_subgroup_sets(G_elems, degree):
         cls = conjugacy_class_of(G_elems, x)
         classes.append(cls)
         seen |= cls
-    n = len(classes)
-    order = len(G_elems)
-    out = []
-    for mask in range(1 << n):
-        union = {e}
-        for i in range(n):
-            if mask >> i & 1:
-                union |= classes[i]
-        if order % len(union):
-            continue
-        if all(a * b in union for a in union for b in union):
-            out.append(frozenset(union))
-    return out
+    found = {frozenset([e])}
+    todo = list(found)
+    while todo:
+        K = todo.pop()
+        for cls in classes:
+            if cls <= K:
+                continue
+            grown = set(K)
+            frontier = grown
+            while frontier:
+                frontier = {x * c for x in frontier for c in cls} - grown
+                grown |= frontier
+            grown = frozenset(grown)
+            if grown not in found:
+                found.add(grown)
+                todo.append(grown)
+    return list(found)
 
 
 def sylow_core_set(G_elems, P_elems):

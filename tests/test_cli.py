@@ -106,6 +106,19 @@ def test_pf_search(capsys):
     assert "not_pf_embedded" in out
 
 
+def test_pf_search_on_a_lattice_past_the_work_limit_is_exhausted(capsys):
+    # C8^3 has only 16 subspaces of P/Phi(P), but its lattice needs more
+    # than LATTICE_WORK_LIMIT units, so the search stops within seconds
+    code, out, err = run(capsys, "pf", "search", "--recipe",
+                         "product(cyclic:8,product(cyclic:8,cyclic:8))",
+                         "--p", "2", "--normal", "sylow",
+                         "--format", "structured")
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    assert outcome["status"] == "exhausted"
+    assert outcome["notes"] == ["normal subgroup enumeration overflowed its cap"]
+
+
 def test_verify_main(capsys):
     code, out, err = run(capsys, "verify", "main", "--recipe",
                          "symmetric:4", "--p", "2")

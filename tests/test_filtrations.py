@@ -7,7 +7,6 @@ from psolv.errors import (LengthCapExceeded, NotAPGroup, NotNormal,
                           PreconditionViolated, UnsupportedParameters)
 from psolv.filtrations import (
     ELL_ZERO_NOTE,
-    SEARCH_ORDER_LIMITS,
     Filtration,
     SearchOutcome,
     compute_ekr,
@@ -16,7 +15,6 @@ from psolv.filtrations import (
     _frattini_subspaces,
     exhaustive_lattice,
     pf_embedded_search,
-    search_order_limit,
     verify_potent_filtration,
 )
 from psolv.group import PermutationGroup, trivial_group
@@ -205,8 +203,8 @@ def test_the_lattice_gate_bounds_every_search(p):
     sizes = {}
     for gid in DEFAULT_CATALOG:
         P = sylow(build_group(gid), p)
-        normals, refused = exhaustive_lattice(P, p)
-        if refused is not None:
+        normals = exhaustive_lattice(P, p)
+        if normals is None:
             continue
         sizes[gid] = len(normals)
         for N in normals:
@@ -218,18 +216,14 @@ def test_the_lattice_gate_bounds_every_search(p):
         assert sizes["wreath_cyclic:2:5"] == 374
 
 
-def test_search_order_limit_is_a_status_not_an_error():
+def test_a_refused_lattice_is_a_status_not_an_error():
+    # C2^10 has more subspaces than the work limit leaves closures for
     big = PermutationGroup(20, [parse_cycles(f"({2 * i + 1} {2 * i + 2})", 20)
                                 for i in range(10)])
     assert big.order() == 1024
-    assert big.order() > SEARCH_ORDER_LIMITS[2]
     out = pf_embedded_search(big, 2, big, 1)
     assert out.status == SearchOutcome.EXHAUSTED
-    assert any("limit" in n for n in out.notes)
-
-
-def test_search_order_limit():
-    assert [search_order_limit(p) for p in (2, 3, 5, 7)] == [512, 729, 3125, 343]
+    assert out.notes == ("normal subgroup enumeration overflowed its cap",)
 
 
 @pytest.mark.parametrize("recipe, p, count", [
@@ -244,7 +238,7 @@ def test_frattini_subspaces_bound_the_lattice(recipe, p, count):
     # abelian P they are all of its subgroups
     P = sylow(build_group(recipe), p)
     assert _frattini_subspaces(P, p) == count
-    if P.order() <= SEARCH_ORDER_LIMITS[p] and count < 100:
+    if count < 100:
         normals = normal_subgroups(P)
         assert len(normals) >= count
         if recipe.startswith("elementary_abelian"):
@@ -260,13 +254,46 @@ def test_lattice_overflow_is_refused_before_any_closure(monkeypatch):
 
     monkeypatch.setattr(psolv.filtrations, "normal_subgroups", refuse)
     P = build_group("elementary_abelian:5:5")
-    assert exhaustive_lattice(P, 5) == (None, "lattice")
+    assert exhaustive_lattice(P, 5) is None
     out = pf_embedded_search(P, 5, P, 1)
     assert out.status == SearchOutcome.EXHAUSTED
     assert out.notes == ("normal subgroup enumeration overflowed its cap",)
     skip, = question7_scan(P, 5)
     assert skip.notes == ("skipped: the Sylow subgroup's normal subgroup "
                           "enumeration overflowed its cap",)
+
+
+def test_the_work_limit_counts_the_largest_catalog_lattice(monkeypatch):
+    # the C2^5 Sylow subgroup of wreath_cyclic:2:5 has the largest lattice
+    # of the catalog; its 374 members cost exactly 418,438 units
+    import psolv.subgroups
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 418_438)
+    P = sylow(build_group("wreath_cyclic:2:5"), 2)
+    assert len(exhaustive_lattice(P, 2)) == 374
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 418_437)
+    P = sylow(build_group("wreath_cyclic:2:5"), 2)
+    assert exhaustive_lattice(P, 2) is None
+
+
+def test_a_refusal_is_paid_once_per_group(monkeypatch):
+    # D8 passes the Frattini bound, (5 - 1) * 8 = 32 units, so only the
+    # enumeration finds that its lattice needs more than the patched limit
+    import psolv.filtrations
+    import psolv.subgroups
+    calls = 0
+
+    def counted(G):
+        nonlocal calls
+        calls += 1
+        return normal_subgroups(G)
+
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 40)
+    monkeypatch.setattr(psolv.filtrations, "normal_subgroups", counted)
+    P = g(4, "(1 2 3 4)", "(1 3)")
+    assert pf_embedded_search(P, 2, P, 1).status == SearchOutcome.EXHAUSTED
+    skip, = question7_scan(P, 2)
+    assert "overflowed" in skip.notes[0]
+    assert calls == 1
 
 
 def test_searches_share_one_mask_table(monkeypatch):

@@ -374,10 +374,24 @@ def test_normal_subgroups_sorted_and_bounded(monkeypatch):
     orders = [H.order() for H in ns]
     assert orders == sorted(orders)
     import psolv.subgroups
-    monkeypatch.setattr(psolv.subgroups, "NORMAL_SUBGROUP_LIMIT", 2)
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 40)
     # a fresh object: the lattice cached on S4 would be returned as it is
     with pytest.raises(CapExceeded):
         normal_subgroups(g(4, "(1 2)", "(1 2 3 4)"))
+
+
+def test_a_lattice_past_the_limit_builds_no_class_mask(monkeypatch):
+    # C2^3 has 7 nontrivial classes, each closing the trivial group at 8
+    # units, so 56 units are certain before any mask is built
+    import psolv.subgroups
+
+    def refuse(G, elements):
+        raise AssertionError("a class mask was built")
+
+    monkeypatch.setattr(psolv.subgroups, "element_mask", refuse)
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 55)
+    with pytest.raises(CapExceeded):
+        normal_subgroups(g(6, "(1 2)", "(3 4)", "(5 6)"))
 
 
 def test_lattice_checks_each_span_against_its_mask(monkeypatch):

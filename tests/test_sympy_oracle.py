@@ -9,8 +9,9 @@ of the closures <N, x>^G whose index over N is a power of p, and O_p'(G/N)
 is the same join with the index prime to p.
 
 Centralizers, class sizes, the lower central series and normal closures
-are compared with sympy's own. sympy has no normalizer or normal core, so
-those are compared with the brute-force sets of tests/oracles.py.
+are compared with sympy's own. sympy has no normalizer, normal core or
+normal-subgroup lattice, so those are compared with the brute-force sets
+of tests/oracles.py.
 Both comparisons run on the catalog groups of order at most 200 and on
 derandomized hypothesis groups on at most 6 points.
 """
@@ -30,9 +31,10 @@ from psolv.group import PermutationGroup, span
 from psolv.perm import Permutation
 from psolv.series import lower_central_series, sylow, upper_p_series
 from psolv.subgroups import (centralizer, conjugacy_classes, normal_closure,
-                             normal_core, normalizer)
+                             normal_core, normal_subgroups, normalizer)
 
-from oracles import elements_of, normalizer_set, sylow_core_set
+from oracles import (elements_of, normal_subgroup_sets, normalizer_set,
+                     sylow_core_set)
 
 
 def _to_sympy(G):
@@ -169,6 +171,9 @@ def _check_against_references(G):
         assert normal_closure(G, PermutationGroup(G.degree, [x])).order() == \
             S.normal_closure(SympyPermutation(list(x.images))).order()
     els = elements_of(G)
+    lattice = [frozenset(N.elements()) for N in normal_subgroups(G)]
+    want = normal_subgroup_sets(els, G.degree)
+    assert len(lattice) == len(want) and set(lattice) == set(want)
     subgroups = _subgroups_to_check(G)
     outside = _outside(G)
     for H in subgroups + ([outside] if outside is not None else []):

@@ -372,18 +372,19 @@ def test_question7_skips_non_solvable():
 def test_question7_skips_oversized_sylow():
     big = PermutationGroup(20, [parse_cycles(f"({2 * i + 1} {2 * i + 2})", 20)
                                 for i in range(10)])
-    out = question7_scan(big, 2)
-    assert len(out) == 1
-    assert "limit" in out[0].notes[0]
+    skip, = question7_scan(big, 2)
+    assert skip.notes == ("skipped: the Sylow subgroup's normal subgroup "
+                          "enumeration overflowed its cap",)
 
 
 def test_lattice_overflow_is_a_skip_for_every_search(monkeypatch):
     # one gate decides for the battery, the PF search and question 7; a
-    # fresh D8 has six normal subgroups, more than the patched limit
+    # fresh D8 passes the Frattini bound, (5 - 1) * 8 = 32 units, and its
+    # lattice needs more work than the patched limit
     import psolv.subgroups
     from psolv.battery import battery_for_group
     from psolv.filtrations import SearchOutcome, pf_embedded_search
-    monkeypatch.setattr(psolv.subgroups, "NORMAL_SUBGROUP_LIMIT", 3)
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 40)
     D8 = g(4, "(1 2 3 4)", "(1 3)")
     out = pf_embedded_search(D8, 2, D8, 1)
     assert out.status == SearchOutcome.EXHAUSTED
