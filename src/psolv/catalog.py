@@ -18,17 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import GroupParseError, InternalMismatch, UnsupportedParameters
-from .group import DEFAULT_ENUM_CAP, PermutationGroup
+from .group import DEFAULT_ENUM_CAP, MAX_DEGREE, PermutationGroup
 from .perm import Permutation
 from .series import exponent, require_prime
 
 TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA = "psolv-report/1"
-
-# the most points a recipe or a group document may act on, checked before
-# anything is built: one stabilizer-chain level stores up to `degree`
-# transversal tuples of `degree` points each
-MAX_DEGREE = 256
 
 
 def _cycle_images(n):

@@ -43,6 +43,7 @@ from .subgroups import (
     is_subgroup,
     iterated_commutator,
     join,
+    normal_closure,
     normal_subgroups,
     power_subgroup,
     same_subgroup,
@@ -62,8 +63,16 @@ def _frattini_subspaces(P: PermutationGroup, p: int) -> int:
     """Number of subspaces of P/Phi(P) for the p-group P, where
     Phi(P) = [P, P]P^p: the sum over k of the Gaussian binomials [d k]_p,
     d the rank of P/Phi(P). Every subgroup of P that contains Phi(P) is
-    normal, so P has at least this many normal subgroups."""
-    frattini = join(gamma(P, 2), power_subgroup(P, p))
+    normal, so P has at least this many normal subgroups.
+
+    Phi(P) is the normal closure in P of the generators' p-th powers and
+    pairwise commutators: modulo that closure the generators commute and
+    have order p, so the quotient is elementary abelian, and each seed
+    lies in Phi(P). Nothing of P is enumerated."""
+    gens = P.generators
+    seeds = [g ** p for g in gens] + [a.commutator(b) for i, a in enumerate(gens)
+                                      for b in gens[i + 1:]]
+    frattini = normal_closure(P, PermutationGroup(P.degree, seeds))
     d = _p_valuation(P.order() // frattini.order(), p)
     row = [1]  # [n k]_p for k = 0 .. n, by the q-Pascal rule
     for n in range(1, d + 1):

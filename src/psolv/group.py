@@ -14,6 +14,10 @@ from .errors import CapExceeded, DegreeMismatch
 from .perm import Permutation, _gather, _make
 
 DEFAULT_ENUM_CAP = 200_000
+# the most points a group may act on: one stabilizer-chain level stores up
+# to `degree` transversal tuples of `degree` points each, and an element
+# column (subgroups._element_columns) holds each point in one byte
+MAX_DEGREE = 256
 _SELF = object()  # kept in G._facts for a group_fact value that is G itself
 
 
@@ -170,6 +174,9 @@ class PermutationGroup:
     def __init__(self, degree, generators=()):
         if degree < 1:
             raise ValueError("degree must be at least 1")
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree {degree} is more than the limit of "
+                             f"{MAX_DEGREE} points")
         generators = tuple(generators)
         for g in generators:
             if not isinstance(g, Permutation):

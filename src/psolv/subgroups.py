@@ -158,16 +158,39 @@ def _conjugator(g: Permutation):
     return lambda y: after(itemgetter(*y)(gi))
 
 
+def _element_columns(G: PermutationGroup) -> list[bytes]:
+    """One bytes per point b of G, holding x[b] for each x in G.elements(),
+    in the same order, built from the chain without forming any element.
+    The chain orders its elements as h * t, t in a level's sorted
+    transversal and h from the levels below, and h * t has images
+    t[h[b]], so each t translates the columns built so far and the
+    results are joined. A translate table has 256 entries, so the degree
+    must be at most group.MAX_DEGREE."""
+    columns = [bytes([b]) for b in range(G.degree)]
+    for lv in reversed(G.chain.levels):
+        tables = [bytes(lv.transversal[beta][0]).ljust(256, b"\0")
+                  for beta in sorted(lv.transversal)]
+        columns = [b"".join([c.translate(t) for t in tables]) for c in columns]
+    return columns
+
+
 @group_fact
 def _conjugation_action(G: PermutationGroup) -> tuple:
-    # one array per generator g of G: entry i is the position in
-    # G.elements() of g^-1 * x * g, for x the element at position i
-    els = G.elements()
-    positions = _element_positions(G)
+    """One array per generator g of G: entry i is the position in
+    G.elements() of g^-1 * x * g, for x the element at position i.
+
+    The conjugates are built a column at a time from _element_columns:
+    g^-1 * x * g has images g[x[g^-1[b]]], so its column b is x's column
+    g^-1[b] translated through g's images. The conjugates' image tuples
+    are the rows of those columns, read by zip and looked up in
+    _element_positions."""
+    columns = _element_columns(G)
+    lookup = _element_positions(G).__getitem__
     maps = []
     for g in G.generators:
-        conj = _conjugator(g)
-        maps.append(array("i", [positions[conj(x.images)] for x in els]))
+        table = bytes(g.images).ljust(256, b"\0")
+        moved = [columns[a].translate(table) for a in g.inverse().images]
+        maps.append(array("i", map(lookup, zip(*moved))))
     return tuple(maps)
 
 
@@ -296,13 +319,19 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
     one unit per product x * c. CapExceeded is raised in the round that
     takes the count past LATTICE_WORK_LIMIT, or before any closure when
     the closures of the trivial group by each nontrivial class would
-    already pass it.
+    already pass it. An abelian G has |G| classes, so that refusal comes
+    before anything of G is enumerated when its generators commute.
     """
+    overflow = (f"the normal subgroup lattice needs more than "
+                f"{LATTICE_WORK_LIMIT} units of work")
+    n = G.order()
+    gens = G.generators
+    if ((n - 1) * n > LATTICE_WORK_LIMIT
+            and all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])):
+        raise CapExceeded(overflow)
     els = G.elements()
     positions = _element_positions(G)
     classes = [cls for cls in conjugacy_classes(G) if not cls[0].is_identity()]
-    overflow = (f"the normal subgroup lattice needs more than "
-                f"{LATTICE_WORK_LIMIT} units of work")
     # the trivial group alone is closed by every class, at |G| units each;
     # refusing here spares the class masks, |G| bits per class
     if len(classes) * len(els) > LATTICE_WORK_LIMIT:

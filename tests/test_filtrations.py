@@ -19,10 +19,10 @@ from psolv.filtrations import (
 )
 from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
-from psolv.series import lower_central_series, sylow
+from psolv.series import gamma, lower_central_series, sylow
 from psolv.theorems import question7_scan
-from psolv.subgroups import (conjugacy_classes, normal_subgroups,
-                             power_subgroup, same_subgroup)
+from psolv.subgroups import (conjugacy_classes, join, normal_closure,
+                             normal_subgroups, power_subgroup, same_subgroup)
 
 
 def g(degree, *cycle_texts):
@@ -243,6 +243,42 @@ def test_frattini_subspaces_bound_the_lattice(recipe, p, count):
         assert len(normals) >= count
         if recipe.startswith("elementary_abelian"):
             assert len(normals) == count
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frattini_is_the_closure_of_generator_words(p, monkeypatch):
+    # Phi(P) = [P, P]P^p is read as the normal closure of the generators'
+    # p-th powers and pairwise commutators, not from every element of P
+    import psolv.filtrations
+    closures = []
+
+    def recorded(G, S):
+        closures.append(normal_closure(G, S))
+        return closures[-1]
+
+    monkeypatch.setattr(psolv.filtrations, "normal_closure", recorded)
+    for gid in DEFAULT_CATALOG:
+        P = sylow(build_group(gid), p)
+        _frattini_subspaces(P, p)
+        phi, = closures
+        closures.clear()
+        assert same_subgroup(phi, join(gamma(P, 2), power_subgroup(P, p))), gid
+
+
+@pytest.mark.parametrize("recipe", [
+    # P/Phi(P) has rank 17: the Frattini bound refuses it
+    "elementary_abelian:2:17",
+    # rank 3, (16 - 1) * 2^17 units, passes the Frattini bound, but an
+    # abelian P has |P| classes, which normal_subgroups refuses at once
+    "product(cyclic:64,product(cyclic:64,cyclic:32))",
+])
+def test_large_abelian_lattices_are_refused_without_enumerating(recipe, monkeypatch):
+    def refuse(G):
+        raise AssertionError("a group was enumerated")
+
+    P = build_group(recipe)
+    monkeypatch.setattr(PermutationGroup, "elements", refuse)
+    assert exhaustive_lattice(P, 2) is None
 
 
 def test_lattice_overflow_is_refused_before_any_closure(monkeypatch):

@@ -4,7 +4,8 @@ import weakref
 import pytest
 
 from psolv.errors import CapExceeded, DegreeMismatch
-from psolv.group import PermutationGroup, group_fact, span, trivial_group
+from psolv.group import (MAX_DEGREE, PermutationGroup, group_fact, span,
+                         trivial_group)
 from psolv.perm import identity, parse_cycles
 
 from oracles import elements_of
@@ -100,6 +101,12 @@ def test_a_fact_equal_to_its_group_leaves_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_degree_ceiling():
+    assert PermutationGroup(MAX_DEGREE, []).order() == 1
+    with pytest.raises(ValueError, match="more than the limit of 256 points"):
+        PermutationGroup(MAX_DEGREE + 1, [])
 
 
 def test_no_generators_is_trivial():

@@ -14,12 +14,12 @@ from functools import partial
 
 import pytest
 
-from psolv.catalog import build_group
+from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.group import PermutationGroup, _orbit, span, trivial_group
 from psolv.perm import Permutation, _gather, _make, identity
 from psolv.subgroups import (_conjugation_action, _conjugator,
-                             _element_positions, centralizer, normalizer,
-                             same_subgroup)
+                             _element_columns, _element_positions,
+                             centralizer, normalizer, same_subgroup)
 
 from oracles import centralizer_set, normalizer_set
 
@@ -71,6 +71,17 @@ def test_elements_are_the_chain_products_in_order(G):
     els = G.elements()
     assert [x.images for x in els] == [x.images for x in _products(G.chain)]
     assert len(els) == G.order()
+
+
+def test_element_columns_are_the_elements_by_point(G):
+    assert list(zip(*_element_columns(G))) == [x.images for x in G.elements()]
+
+
+@pytest.mark.parametrize("recipe", [*DEFAULT_CATALOG, "product(cyclic:128,cyclic:128)"])
+def test_element_columns_of_catalog_groups(recipe):
+    # the product acts on 256 points, every byte value a translate can hold
+    G = build_group(recipe)
+    assert list(zip(*_element_columns(G))) == [x.images for x in G.elements()]
 
 
 def test_conjugation_action_matches_conjugate(G):
