@@ -148,16 +148,17 @@ class StabilizerChain:
     def contains(self, g) -> bool:
         return self._strip(g.images, 0)[0] == self.one
 
-    def iter_elements(self):
-        """Every element exactly once, in a fixed order determined by the chain:
-        level i yields h * t for t in its sorted transversal, h in level i + 1."""
+    def iter_elements(self) -> list[tuple]:
+        """The image tuple of every element exactly once, in a fixed order
+        determined by the chain: level i yields h * t for t in its sorted
+        transversal, h in level i + 1. No Permutation is built."""
         out = [self.one]
         for lv in reversed(self.levels):
             ts = [lv.transversal[beta][0] for beta in sorted(lv.transversal)]
             # h * t has images t[h[x]]: one gather by h's images per product
             gathers = [_gather(h) for h in out]
             out = [gather(t) for t in ts for gather in gathers]
-        return list(map(_make, out))
+        return out
 
 
 class PermutationGroup:
@@ -169,7 +170,7 @@ class PermutationGroup:
     are kept in `_facts` for the life of the group.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_elements", "_facts")
+    __slots__ = ("degree", "generators", "_chain", "_rows", "_elements", "_facts")
 
     def __init__(self, degree, generators=()):
         if degree < 1:
@@ -188,6 +189,7 @@ class PermutationGroup:
         self.degree = degree
         self.generators = generators
         self._chain = None
+        self._rows = None
         self._elements = None
         self._facts = {}
 
@@ -210,8 +212,10 @@ class PermutationGroup:
             )
         return self.chain.contains(g)
 
-    def elements(self) -> list[Permutation]:
-        """All elements in deterministic chain order.
+    def element_rows(self) -> list[tuple]:
+        """The image tuples of all elements in deterministic chain order,
+        enumerated once and cached: the group's one element list, which
+        positions, the conjugation action and the classes are read from.
 
         Raises CapExceeded before enumerating anything when order() >
         DEFAULT_ENUM_CAP.
@@ -220,8 +224,17 @@ class PermutationGroup:
         if n > DEFAULT_ENUM_CAP:
             raise CapExceeded(f"group order {n} exceeds enumeration cap "
                               f"{DEFAULT_ENUM_CAP}")
+        if self._rows is None:
+            self._rows = self.chain.iter_elements()
+        return self._rows
+
+    def elements(self) -> list[Permutation]:
+        """All elements as Permutations, in the order of element_rows(),
+        wrapped once and cached: each element's images is its row itself.
+        Raises CapExceeded as element_rows() does, on every call."""
+        rows = self.element_rows()
         if self._elements is None:
-            self._elements = list(self.chain.iter_elements())
+            self._elements = list(map(_make, rows))
         return self._elements
 
     def __repr__(self):

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .group import PermutationGroup, group_fact, span, trivial_group
-from .perm import Permutation
+from .perm import Permutation, _make
 from .subgroups import (
     _normal_closure_steps,
     _normalizes,
@@ -121,11 +121,14 @@ def _order_modulo(x: Permutation, N: PermutationGroup) -> int:
 
 def _exponent_modulo(H: PermutationGroup, N: PermutationGroup) -> int:
     """Exponent of HN/N, computed inside H without building the quotient:
-    the lcm of the orders of xN over H's class representatives x.
-    Raises NotNormal unless H normalizes N; N need not lie in H."""
+    the lcm of the orders of xN over H's class representatives x, each
+    wrapped from its row. Raises NotNormal unless H normalizes N; N need
+    not lie in H."""
     if not _normalizes(H, N):
         raise NotNormal("the group does not normalize the kernel")
-    return math.lcm(*(_order_modulo(cls[0], N) for cls in conjugacy_classes(H)))
+    rows = H.element_rows()
+    return math.lcm(*(_order_modulo(_make(rows[cls[0]]), N)
+                      for cls in conjugacy_classes(H)))
 
 
 def _prime_power(n: int):
@@ -231,9 +234,10 @@ def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     target = _p_part(G.order(), p)
     if target == 1:
         return trivial_group(G.degree)
+    # rows are wrapped one at a time, up to the first p-element
     seed = None
-    for x in G.elements():
-        y = element_p_part(x, p)
+    for row in G.element_rows():
+        y = element_p_part(_make(row), p)
         if not y.is_identity():
             seed = y
             break
@@ -261,8 +265,9 @@ def _core_by_class_closures(G, p, want_p_group, N):
     # first one whose index already has the wrong type (a prime other
     # than p, or p); an accepted closure runs to the end
     K = N
+    rows = G.element_rows()
     for cls in conjugacy_classes(G):
-        x = cls[0]
+        x = _make(rows[cls[0]])
         if K.contains(x):
             continue
         o = _order_modulo(x, N)

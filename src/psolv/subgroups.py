@@ -8,13 +8,12 @@ mutual generator membership, never equal generator lists.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from operator import itemgetter
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
-from .perm import Permutation, _gather, _make, identity
+from .perm import Permutation, _gather, _make
 
 # the most work normal_subgroups may do, counted as in its docstring
 LATTICE_WORK_LIMIT = 2_000_000
@@ -28,7 +27,9 @@ def _check_degrees(*groups):
 
 @group_fact
 def _element_positions(G: PermutationGroup) -> dict:
-    return {x.images: i for i, x in enumerate(G.elements())}
+    """Each row of G.element_rows() keyed to its position."""
+    rows = G.element_rows()
+    return dict(zip(rows, range(len(rows))))
 
 
 def is_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
@@ -159,8 +160,9 @@ def _conjugator(g: Permutation):
 
 
 def _element_columns(G: PermutationGroup) -> list[bytes]:
-    """One bytes per point b of G, holding x[b] for each x in G.elements(),
-    in the same order, built from the chain without forming any element.
+    """One bytes per point b of G, holding x[b] for each row x of
+    G.element_rows(), in the same order, built from the chain without
+    forming any element.
     The chain orders its elements as h * t, t in a level's sorted
     transversal and h from the levels below, and h * t has images
     t[h[b]], so each t translates the columns built so far and the
@@ -176,8 +178,9 @@ def _element_columns(G: PermutationGroup) -> list[bytes]:
 
 @group_fact
 def _conjugation_action(G: PermutationGroup) -> tuple:
-    """One array per generator g of G: entry i is the position in
-    G.elements() of g^-1 * x * g, for x the element at position i.
+    """One list per generator g of G: entry i is the position in
+    G.element_rows() of g^-1 * x * g, for x the element at position i.
+    Lists, not arrays: reading an entry boxes no int.
 
     The conjugates are built a column at a time from _element_columns:
     g^-1 * x * g has images g[x[g^-1[b]]], so its column b is x's column
@@ -190,7 +193,7 @@ def _conjugation_action(G: PermutationGroup) -> tuple:
     for g in G.generators:
         table = bytes(g.images).ljust(256, b"\0")
         moved = [columns[a].translate(table) for a in g.inverse().images]
-        maps.append(array("i", map(lookup, zip(*moved))))
+        maps.append(list(map(lookup, zip(*moved))))
     return tuple(maps)
 
 
@@ -214,14 +217,15 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
 
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """N_G(H), the stabilizer of H under conjugation by G, grown from H. A
-    conjugate is keyed by its sorted positions in G.elements(), read through
-    G's cached conjugation action. Raises ValueError unless H <= G."""
+    conjugate is keyed by its sorted positions in G.element_rows(), the
+    key of H read from H's rows; a generator moves a key by one gather
+    from its list in G's cached conjugation action. Raises ValueError
+    unless H <= G."""
     if not is_subgroup(H, G):
         raise ValueError("subgroup is not contained in the group")
-    positions = _element_positions(G)
     maps = _conjugation_action(G)
-    key = tuple(sorted(positions[h.images] for h in H.elements()))
-    return _stabilizer(G, H, key, lambda k, i: tuple(sorted([maps[i][j] for j in k])))
+    key = tuple(sorted(map(_element_positions(G).__getitem__, H.element_rows())))
+    return _stabilizer(G, H, key, lambda k, i: tuple(sorted(_gather(k)(maps[i]))))
 
 
 def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
@@ -235,20 +239,22 @@ def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
 
 def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """The largest normal subgroup of G inside H, returned before anything is
-    enumerated when G normalizes H; else H's positions in G.elements() are
-    intersected with their images under G's cached conjugation action until
-    every generator maps them onto themselves. ValueError unless H <= G."""
+    enumerated when G normalizes H; else the positions of H's rows in
+    G.element_rows() are intersected with their images under G's cached
+    conjugation action until every generator maps them onto themselves.
+    Only the core's own rows are wrapped as Permutations. ValueError
+    unless H <= G."""
     if not is_subgroup(H, G):
         raise ValueError("subgroup is not contained in the group")
     if _normalizes(G, H):
         return H
-    positions = _element_positions(G)
     maps = _conjugation_action(G)
-    k = {positions[x.images] for x in H.elements()}
+    k = set(map(_element_positions(G).__getitem__, H.element_rows()))
     last = None
     while k != last:
         last, k = k, k.intersection(*({c[i] for i in k} for c in maps))
-    return span(G.degree, map(G.elements().__getitem__, k), len(k))
+    rows = G.element_rows()
+    return span(G.degree, (_make(rows[i]) for i in k), len(k))
 
 
 def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
@@ -260,21 +266,22 @@ def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
 
 
 @group_fact
-def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
-    """Conjugacy classes as a tuple of tuples of the objects in G.elements().
+def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes as a tuple of tuples of positions in G.elements()
+    (and G.element_rows()): G.elements()[i] is the member at position i.
 
     The classes are the orbits of G's cached conjugation action on element
     positions, walked from the first unseen position. Each class is headed
     by its first element in enumeration order and lists the rest in the
-    order conjugation by the generators reaches them. Cached on G; the
-    classes hold G's own element objects, so the cache keeps no second
-    copy of the group.
+    order conjugation by the generators reaches them. Cached on G; no
+    element is wrapped as a Permutation, so a caller wraps the rows it
+    reads.
     """
-    els = G.elements()
     maps = _conjugation_action(G)
-    seen = bytearray(len(els))
+    n = G.order()
+    seen = bytearray(n)
     classes = []
-    for i in range(len(els)):
+    for i in range(n):
         if seen[i]:
             continue
         seen[i] = 1
@@ -285,7 +292,7 @@ def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[Permutation, ...], ...
                 if not seen[k]:
                     seen[k] = 1
                     cls.append(k)
-        classes.append(tuple(els[j] for j in cls))
+        classes.append(tuple(cls))
     return tuple(classes)
 
 
@@ -329,14 +336,18 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
     if ((n - 1) * n > LATTICE_WORK_LIMIT
             and all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])):
         raise CapExceeded(overflow)
-    els = G.elements()
     positions = _element_positions(G)
-    classes = [cls for cls in conjugacy_classes(G) if not cls[0].is_identity()]
+    e = positions[tuple(range(G.degree))]
+    classes = [cls for cls in conjugacy_classes(G) if cls[0] != e]
     # the trivial group alone is closed by every class, at |G| units each;
     # refusing here spares the class masks, |G| bits per class
-    if len(classes) * len(els) > LATTICE_WORK_LIMIT:
+    if len(classes) * n > LATTICE_WORK_LIMIT:
         raise CapExceeded(overflow)
-    class_masks = [element_mask(G, cls) for cls in classes]
+    # positions are distinct, so each sum of bits is their union
+    class_masks = [sum(1 << i for i in cls) for cls in classes]
+    # close and span take elements, so the classes are wrapped from here on
+    els = G.elements()
+    classes = [[els[i] for i in cls] for cls in classes]
     work = 0
 
     def close(mask, cls):
@@ -358,7 +369,7 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
             frontier = grown
         return mask
 
-    one = element_mask(G, [identity(G.degree)])
+    one = 1 << e
     found = {one: trivial_group(G.degree)}
     queue = deque([one])
     while queue:

@@ -84,6 +84,15 @@ def test_element_columns_of_catalog_groups(recipe):
     assert list(zip(*_element_columns(G))) == [x.images for x in G.elements()]
 
 
+@pytest.mark.parametrize("recipe", DEFAULT_CATALOG)
+def test_elements_wrap_the_rows_themselves(recipe):
+    G = build_group(recipe)
+    rows = G.element_rows()
+    assert rows is G.element_rows()
+    assert [x.images for x in G.elements()] == rows
+    assert all(x.images is row for x, row in zip(G.elements(), rows))
+
+
 def test_conjugation_action_matches_conjugate(G):
     els = G.elements()
     positions = _element_positions(G)

@@ -28,6 +28,7 @@ from psolv.series import (
     upper_p_series,
 )
 from psolv.subgroups import is_subgroup, normal_subgroups, same_subgroup
+from psolv.theorems import analyze_group
 
 from oracles import (
     elements_of,
@@ -434,6 +435,22 @@ def test_sylow_of_a_p_group_is_the_group():
     assert normal_subgroups(sylow(G, 5)) is normal_subgroups(G)
 
 
+def test_analyzing_s8_wraps_none_of_its_elements(monkeypatch):
+    # S8's classes, action, Sylow seed and cores are read from its rows;
+    # only subgroups are ever enumerated as Permutations
+    real = PermutationGroup.elements
+
+    def guarded(self):
+        if self.order() == 40320:
+            raise AssertionError("S8 was enumerated as Permutations")
+        return real(self)
+
+    monkeypatch.setattr(PermutationGroup, "elements", guarded)
+    G = build_group("symmetric:8")
+    analyze_group(G, 2)
+    assert len(G.element_rows()) == 40320
+
+
 def test_cached_elements_keep_their_cap(monkeypatch):
     import psolv.group
     G = g(4, "(1 2)", "(1 2 3 4)")
@@ -441,3 +458,5 @@ def test_cached_elements_keep_their_cap(monkeypatch):
     monkeypatch.setattr(psolv.group, "DEFAULT_ENUM_CAP", 23)
     with pytest.raises(CapExceeded):
         G.elements()
+    with pytest.raises(CapExceeded):
+        G.element_rows()

@@ -2,7 +2,7 @@ import pytest
 
 from psolv.catalog import build_group
 from psolv.errors import CapExceeded, InternalMismatch
-from psolv.group import PermutationGroup, trivial_group
+from psolv.group import PermutationGroup, StabilizerChain, trivial_group
 from psolv.perm import parse_cycles
 from psolv.subgroups import (
     _conjugation_action,
@@ -182,6 +182,9 @@ def test_normal_core_of_a_normal_subgroup_enumerates_nothing(monkeypatch):
         raise AssertionError("a group was enumerated")
 
     G, H = g(4, "(1 2)", "(1 2 3 4)"), g(4, "(1 2 3)", "(2 3 4)")
+    # the chain's enumeration is the one route to a group's rows, and so
+    # to its elements, its positions and its conjugation action
+    monkeypatch.setattr(StabilizerChain, "iter_elements", refuse)
     monkeypatch.setattr(PermutationGroup, "elements", refuse)
     assert normal_core(G, H) is H
     with pytest.raises(AssertionError):
@@ -307,17 +310,18 @@ def test_conjugacy_classes_are_the_group_elements(G):
     assert classes is conjugacy_classes(G)
     assert type(classes) is tuple
     assert all(type(cls) is tuple for cls in classes)
-    # members are G's own element objects, each exactly once, and each
+    # members are positions in G.elements(), each exactly once, and each
     # class is headed by its first element in enumeration order
-    pos = {id(x): i for i, x in enumerate(G.elements())}
-    assert sorted(pos[id(x)] for cls in classes for x in cls) == \
-        list(range(G.order()))
-    heads = [pos[id(cls[0])] for cls in classes]
+    assert all(type(i) is int for cls in classes for i in cls)
+    assert sorted(i for cls in classes for i in cls) == list(range(G.order()))
+    heads = [cls[0] for cls in classes]
     assert heads == sorted(heads)
-    assert all(pos[id(cls[0])] < pos[id(x)] for cls in classes for x in cls[1:])
+    assert all(cls[0] < i for cls in classes for i in cls[1:])
     els = elements_of(G)
+    members = G.elements()
     for cls in classes:
-        assert frozenset(cls) == conjugacy_class_of(els, cls[0])
+        assert frozenset(members[i] for i in cls) == \
+            conjugacy_class_of(els, members[cls[0]])
 
 
 @pytest.mark.parametrize("G", [S4, D8, build_group("wreath_cyclic:2:3")])
@@ -334,7 +338,16 @@ def test_conjugation_action_on_positions(G):
         assert all(els[c[i]] == x.conjugate(g_) for i, x in enumerate(els))
     # the orbits of the maps are the conjugacy classes
     for cls in conjugacy_classes(G):
-        assert frozenset(cls) == conjugacy_class_of(oracle_els, cls[0])
+        assert frozenset(els[i] for i in cls) == \
+            conjugacy_class_of(oracle_els, els[cls[0]])
+
+
+@pytest.mark.parametrize("G", [S4, D8, build_group("wreath_cyclic:2:3")])
+def test_conjugation_action_is_a_list_of_conjugate_positions(G):
+    els = G.elements()
+    for g_, c in zip(G.generators, _conjugation_action(G)):
+        assert type(c) is list
+        assert c == [els.index(x.conjugate(g_)) for x in els]
 
 
 @pytest.mark.parametrize("G, count", [
@@ -382,15 +395,24 @@ def test_normal_subgroups_sorted_and_bounded(monkeypatch):
 
 def test_a_lattice_past_the_limit_builds_no_class_mask(monkeypatch):
     # C2^3 has 7 nontrivial classes, each closing the trivial group at 8
-    # units, so 56 units are certain before any mask is built
+    # units, so 56 units are certain before any mask is built; a mask is
+    # built from its class's positions, so no class may be walked member
+    # by member before the refusal (its head may be read)
     import psolv.subgroups
 
-    def refuse(G, elements):
-        raise AssertionError("a class mask was built")
+    class Unwalked(tuple):
+        def __iter__(self):
+            raise AssertionError("a class mask was built")
 
-    monkeypatch.setattr(psolv.subgroups, "element_mask", refuse)
+    real = psolv.subgroups.conjugacy_classes
+    monkeypatch.setattr(psolv.subgroups, "conjugacy_classes",
+                        lambda G: tuple(map(Unwalked, real(G))))
     monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 55)
     with pytest.raises(CapExceeded):
+        normal_subgroups(g(6, "(1 2)", "(3 4)", "(5 6)"))
+    # the guard is live: with room for the lattice, the masks are built
+    monkeypatch.setattr(psolv.subgroups, "LATTICE_WORK_LIMIT", 10 ** 6)
+    with pytest.raises(AssertionError, match="class mask"):
         normal_subgroups(g(6, "(1 2)", "(3 4)", "(5 6)"))
 
 

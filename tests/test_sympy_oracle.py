@@ -146,7 +146,7 @@ def _subgroups_to_check(G):
     # and the stabilizer of the first point
     els = G.elements()
     out = [sylow(G, p) for p in (2, 3, 5) if G.order() % p == 0]
-    out += [span(G.degree, [cls[0]]) for cls in conjugacy_classes(G)[1:4]]
+    out += [span(G.degree, [els[cls[0]]]) for cls in conjugacy_classes(G)[1:4]]
     out.append(span(G.degree, [x for x in els if x.images[0] == 0]))
     return out
 
@@ -167,7 +167,7 @@ def _check_against_references(G):
     assert _distinct(lower_central_series(G).orders()) == \
         _distinct([H.order() for H in S.lower_central_series()])
     for cls in conjugacy_classes(G):
-        x = cls[0]
+        x = G.elements()[cls[0]]
         assert normal_closure(G, PermutationGroup(G.degree, [x])).order() == \
             S.normal_closure(SympyPermutation(list(x.images))).order()
     els = elements_of(G)
