@@ -15,8 +15,8 @@ from .perm import Permutation, _gather, _make
 
 DEFAULT_ENUM_CAP = 200_000
 # the most points a group may act on: one stabilizer-chain level stores up
-# to `degree` transversal tuples of `degree` points each, and an element
-# column (subgroups._element_columns) holds each point in one byte
+# to `degree` transversal tuples of `degree` points each, and the element
+# table (StabilizerChain.element_table) holds each point in one byte
 MAX_DEGREE = 256
 _SELF = object()  # kept in G._facts for a group_fact value that is G itself
 
@@ -148,17 +148,27 @@ class StabilizerChain:
     def contains(self, g) -> bool:
         return self._strip(g.images, 0)[0] == self.one
 
+    def element_table(self) -> bytes:
+        """The images of every element, joined in the order of
+        iter_elements: byte i * degree + b is x[b], x the element at
+        position i. Built level by level without forming any element. That
+        order is h * t, t in a level's sorted transversal and h from the
+        levels below, and h * t has images t[h[b]], so the table so far
+        translated through t is the block of the products h * t, and the
+        blocks are joined. A translate table has 256 entries, hence
+        MAX_DEGREE."""
+        table = bytes(range(self.degree))
+        for lv in reversed(self.levels):
+            ts = [bytes(lv.transversal[beta][0]).ljust(256, b"\0")
+                  for beta in sorted(lv.transversal)]
+            table = b"".join([table.translate(t) for t in ts])
+        return table
+
     def iter_elements(self) -> list[tuple]:
         """The image tuple of every element exactly once, in a fixed order
-        determined by the chain: level i yields h * t for t in its sorted
-        transversal, h in level i + 1. No Permutation is built."""
-        out = [self.one]
-        for lv in reversed(self.levels):
-            ts = [lv.transversal[beta][0] for beta in sorted(lv.transversal)]
-            # h * t has images t[h[x]]: one gather by h's images per product
-            gathers = [_gather(h) for h in out]
-            out = [gather(t) for t in ts for gather in gathers]
-        return out
+        determined by the chain: the rows of element_table, read by zip
+        from degree copies of one iterator. No Permutation is built."""
+        return list(zip(*[iter(self.element_table())] * self.degree))
 
 
 class PermutationGroup:

@@ -254,30 +254,44 @@ def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     return S
 
 
+def _wrong_type(n, p, want_p_group):
+    # n is not a power of p (for the p-core) or is divisible by p (p'-core)
+    part = _p_part(n, p)
+    return n != part if want_p_group else part != 1
+
+
+def _refused_by_a_conjugate_product(G, x, p, want_p_group, N):
+    # x * x^g lies in the closure N<x>^G for each generator g of G, so when
+    # its coset has an order of the wrong type, so has the closure's index
+    return any(_wrong_type(_order_modulo(x * x.conjugate(g), N), p, want_p_group)
+               for g in G.generators)
+
+
 def _core_by_class_closures(G, p, want_p_group, N):
     # the K >= N with K/N the p- or p'-core of G/N, N normal in G, found
     # inside G: the join of the closures N<x>^G over class representatives
     # x whose coset xN, and whose index |N<x>^G : N|, have the right order
     # type (a power of p, or prime to p); conjugate elements give the same
     # closure, so one representative per class suffices, and N = 1 gives
-    # O_p(G) or O_p'(G). The index of each subgroup the closure grows
-    # through divides the final index, so a closure is dropped at the
-    # first one whose index already has the wrong type (a prime other
-    # than p, or p); an accepted closure runs to the end
+    # O_p(G) or O_p'(G). Two cheap tests refuse x before any subgroup is
+    # built: the order of xN, then the orders of the cosets of x * x^g, g
+    # a generator of G, which lie in the closure. The second runs only when
+    # |G : N| itself has the wrong type, since otherwise no order in G/N
+    # has. The index of each subgroup the closure grows through divides the
+    # final index, so a closure is dropped at the first one whose index
+    # already has the wrong type; an accepted closure runs to the end
     K = N
     rows = G.element_rows()
+    check_products = _wrong_type(G.order() // N.order(), p, want_p_group)
     for cls in conjugacy_classes(G):
         x = _make(rows[cls[0]])
-        if K.contains(x):
+        if K.contains(x) or _wrong_type(_order_modulo(x, N), p, want_p_group):
             continue
-        o = _order_modulo(x, N)
-        if (_p_part(o, p) != o) if want_p_group else (o % p == 0):
+        if check_products and _refused_by_a_conjugate_product(G, x, p, want_p_group, N):
             continue
         for closure in _normal_closure_steps(
                 G, PermutationGroup(G.degree, N.generators + (x,))):
-            index = closure.order() // N.order()
-            part = _p_part(index, p)
-            if (index != part) if want_p_group else (part != 1):
+            if _wrong_type(closure.order() // N.order(), p, want_p_group):
                 break
         else:
             K = join(K, closure)

@@ -159,41 +159,25 @@ def _conjugator(g: Permutation):
     return lambda y: after(itemgetter(*y)(gi))
 
 
-def _element_columns(G: PermutationGroup) -> list[bytes]:
-    """One bytes per point b of G, holding x[b] for each row x of
-    G.element_rows(), in the same order, built from the chain without
-    forming any element.
-    The chain orders its elements as h * t, t in a level's sorted
-    transversal and h from the levels below, and h * t has images
-    t[h[b]], so each t translates the columns built so far and the
-    results are joined. A translate table has 256 entries, so the degree
-    must be at most group.MAX_DEGREE."""
-    columns = [bytes([b]) for b in range(G.degree)]
-    for lv in reversed(G.chain.levels):
-        tables = [bytes(lv.transversal[beta][0]).ljust(256, b"\0")
-                  for beta in sorted(lv.transversal)]
-        columns = [b"".join([c.translate(t) for t in tables]) for c in columns]
-    return columns
-
-
 @group_fact
 def _conjugation_action(G: PermutationGroup) -> tuple:
     """One list per generator g of G: entry i is the position in
     G.element_rows() of g^-1 * x * g, for x the element at position i.
     Lists, not arrays: reading an entry boxes no int.
 
-    The conjugates are built a column at a time from _element_columns:
-    g^-1 * x * g has images g[x[g^-1[b]]], so its column b is x's column
-    g^-1[b] translated through g's images. The conjugates' image tuples
-    are the rows of those columns, read by zip and looked up in
-    _element_positions."""
-    columns = _element_columns(G)
+    The conjugates are built a column at a time from the chain's
+    element_table, which iter_elements reads the rows from: g^-1 * x * g
+    has images g[x[g^-1[b]]], so with the table translated through g's
+    images, its column b is the translated column g^-1[b], one strided
+    slice. The conjugates' image tuples are the rows of those columns,
+    read by zip and looked up in _element_positions."""
+    table = G.chain.element_table()
+    n = G.degree
     lookup = _element_positions(G).__getitem__
     maps = []
     for g in G.generators:
-        table = bytes(g.images).ljust(256, b"\0")
-        moved = [columns[a].translate(table) for a in g.inverse().images]
-        maps.append(list(map(lookup, zip(*moved))))
+        moved = table.translate(bytes(g.images).ljust(256, b"\0"))
+        maps.append(list(map(lookup, zip(*[moved[a::n] for a in g.inverse().images]))))
     return tuple(maps)
 
 

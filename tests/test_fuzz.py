@@ -5,7 +5,8 @@ grammars, then cut and mangled, and run through psolv.cli.main in-process
 on `analyze` and `pf verify`. Every run must end with exit code 0 or 1:
 an exception that escapes, or a finding (2) on these tiny groups, fails.
 The draws are derandomized, and recipes are bounded by order so nothing
-large gets built.
+large gets built. Drawn groups also check that the conjugate-product
+refusal in the class-closure cores changes no core.
 """
 
 import pytest
@@ -22,8 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psolv.cli as cli
+import psolv.series
 from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
+from psolv.group import PermutationGroup, trivial_group
+from psolv.perm import Permutation
 
 # the largest group a drawn recipe may name; S5 and the order-125 groups fit
 ORDER_LIMIT = 200
@@ -214,3 +218,31 @@ tokens = st.one_of(
 def test_subgroup_tokens_exit_0_or_1(recipe, terms, ell):
     _main("pf", "verify", f"--recipe={recipe}", "--p=2", f"--ell={ell}",
           *(f"--term={t}" for t in terms))
+
+
+# --- class-closure cores ----------------------------------------------------
+
+@st.composite
+def permutation_groups(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    return PermutationGroup(degree, [Permutation(g) for g in gens])
+
+
+@SETTINGS
+@given(G=permutation_groups(), p=st.sampled_from((2, 3)))
+def test_conjugate_products_change_no_core(G, p):
+    # over 1 and over O_p'(G), both kinds of core have the same generators
+    # whether or not closures are refused by a conjugate product
+    def cores():
+        return [psolv.series._core_by_class_closures(G, p, want_p_group, N).generators
+                for N in (trivial_group(G.degree), psolv.series.o_pprime(G, p))
+                for want_p_group in (False, True)]
+
+    with_products = cores()
+    real = psolv.series._refused_by_a_conjugate_product
+    psolv.series._refused_by_a_conjugate_product = lambda *args: False
+    try:
+        assert cores() == with_products
+    finally:
+        psolv.series._refused_by_a_conjugate_product = real

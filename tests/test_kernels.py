@@ -1,9 +1,10 @@
 """The gather kernels against the plain Permutation arithmetic.
 
 The orbit walk group._orbit, StabilizerChain (its orbits, sift and Schreier
-test), iter_elements, the conjugation action and subgroups._stabilizer
-build their elements through perm._gather, not Permutation.__mul__; these
-tests rebuild them with products, inverses and conjugates, on fixed groups
+test), its element table, the conjugation action and subgroups._stabilizer
+build their elements through perm._gather or bytes.translate, not
+Permutation.__mul__; these tests rebuild them with products, inverses and
+conjugates, on fixed groups
 from degree 1 up and on small groups drawn at random, and check that the
 walks, the chains, the order of the elements, the action and the
 normalizer and centralizer built on it all agree.
@@ -18,8 +19,8 @@ from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.group import PermutationGroup, _orbit, span, trivial_group
 from psolv.perm import Permutation, _gather, _make, identity
 from psolv.subgroups import (_conjugation_action, _conjugator,
-                             _element_columns, _element_positions,
-                             centralizer, normalizer, same_subgroup)
+                             _element_positions, centralizer, normalizer,
+                             same_subgroup)
 
 from oracles import centralizer_set, normalizer_set
 
@@ -73,15 +74,24 @@ def test_elements_are_the_chain_products_in_order(G):
     assert len(els) == G.order()
 
 
+def _check_element_table(chain):
+    # the table joins the chain products' images in order, so its column
+    # b, every degree-th byte from b, holds x[b] for each product x
+    products = [x.images for x in _products(chain)]
+    table = chain.element_table()
+    assert table == bytes(i for row in products for i in row)
+    assert [table[b::chain.degree] for b in range(chain.degree)] == \
+        [bytes(col) for col in zip(*products)]
+
+
 def test_element_columns_are_the_elements_by_point(G):
-    assert list(zip(*_element_columns(G))) == [x.images for x in G.elements()]
+    _check_element_table(G.chain)
 
 
 @pytest.mark.parametrize("recipe", [*DEFAULT_CATALOG, "product(cyclic:128,cyclic:128)"])
 def test_element_columns_of_catalog_groups(recipe):
     # the product acts on 256 points, every byte value a translate can hold
-    G = build_group(recipe)
-    assert list(zip(*_element_columns(G))) == [x.images for x in G.elements()]
+    _check_element_table(build_group(recipe).chain)
 
 
 @pytest.mark.parametrize("recipe", DEFAULT_CATALOG)

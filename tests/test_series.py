@@ -237,7 +237,9 @@ def test_class_closures_stop_at_the_first_wrong_prime(monkeypatch):
     # on S6 at p = 2 the class closures for O_2' and O_2 grow towards A6
     # and S6 and are rejected; dropping each at the first subgroup whose
     # index has the wrong type builds fewer stabilizer chains than running
-    # it to the end, and gives the same cores with the same generators
+    # it to the end, and gives the same cores with the same generators.
+    # The conjugate-product test is off in both runs: it refuses the same
+    # closures in each before anything is built, so it would hide the saving
     import psolv.group
     import psolv.series
     from psolv.subgroups import normal_closure
@@ -249,6 +251,8 @@ def test_class_closures_stop_at_the_first_wrong_prime(monkeypatch):
             super().__init__(degree, generators)
 
     monkeypatch.setattr(psolv.group, "StabilizerChain", CountedChain)
+    monkeypatch.setattr(psolv.series, "_refused_by_a_conjugate_product",
+                        lambda *args: False)
 
     def cores():
         G = build_group("symmetric:6")
@@ -266,6 +270,62 @@ def test_class_closures_stop_at_the_first_wrong_prime(monkeypatch):
     for (gens, n), (full_gens, full_n) in zip(early, full):
         assert gens == full_gens
         assert n < full_n
+
+
+def test_conjugate_products_refuse_closures_before_any_build(monkeypatch):
+    # on S6 at p = 2 some representatives pass the order test but have a
+    # product x * x^g of the wrong coset order; they are refused without a
+    # chain build, and their closures are never grown
+    import psolv.group
+    import psolv.series
+    builds, refused, grown = [], [], []
+    real_refused = psolv.series._refused_by_a_conjugate_product
+    real_steps = psolv.series._normal_closure_steps
+
+    class CountedChain(psolv.group.StabilizerChain):
+        def __init__(self, degree, generators):
+            builds.append(degree)
+            super().__init__(degree, generators)
+
+    def counted_refused(G, x, p, want_p_group, N):
+        before = len(builds)
+        out = real_refused(G, x, p, want_p_group, N)
+        if out:
+            assert len(builds) == before
+            refused.append(x)
+        return out
+
+    def recorded_steps(G, S):
+        grown.append(S.generators[-1])
+        return real_steps(G, S)
+
+    monkeypatch.setattr(psolv.group, "StabilizerChain", CountedChain)
+    monkeypatch.setattr(psolv.series, "_refused_by_a_conjugate_product", counted_refused)
+    monkeypatch.setattr(psolv.series, "_normal_closure_steps", recorded_steps)
+    G = build_group("symmetric:6")
+    o_pprime(G, 2)
+    o_p(G, 2)
+    assert refused
+    assert not set(refused) & set(grown)
+
+
+@pytest.mark.parametrize("name, p", [("symmetric:6", 2), ("symmetric:6", 3),
+                                     ("symmetric:8", 2), ("symmetric:8", 3),
+                                     ("affine", 3)])
+def test_conjugate_products_leave_every_core_unchanged(monkeypatch, name, p):
+    # every term of the upper p-series, and so every core over 1 and over
+    # the term below, has the same generators with and without the test
+    import psolv.series
+
+    def terms():
+        G = _affine_on_doubled_points() if name == "affine" else build_group(name)
+        cores = [o_pprime(G, p), o_p(G, p), *upper_p_series(G, p).subgroups()]
+        return [K.generators for K in cores]
+
+    with_products = terms()
+    monkeypatch.setattr(psolv.series, "_refused_by_a_conjugate_product",
+                        lambda *args: False)
+    assert terms() == with_products
 
 
 def test_core_modulo_over_one_is_the_cached_core():
