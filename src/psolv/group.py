@@ -303,5 +303,8 @@ def span(degree: int, elements, order=None) -> PermutationGroup:
     logarithmic in the group order. When the elements are known to form a
     subgroup, pass their number as order: sifting stops once it is reached,
     and the generators are the same, since every later element lies inside.
+    The distinct image tuples are sorted as they are, and each is wrapped
+    only when _grow reaches it.
     """
-    return _grow(trivial_group(degree), sorted(set(elements), key=lambda p: p.images), order)
+    rows = sorted({x.images for x in elements})
+    return _grow(trivial_group(degree), map(_make, rows), order)

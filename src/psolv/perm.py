@@ -31,6 +31,19 @@ def _gather(idx):
     return itemgetter(*idx)
 
 
+def _power(images, k):
+    """The images of x^k, x the permutation with the given images and
+    k >= 0, by square and multiply: each product is one _gather pass."""
+    result = tuple(range(len(images)))
+    while k:
+        if k & 1:
+            result = _gather(result)(images)
+        k >>= 1
+        if k:
+            images = _gather(images)(images)
+    return result
+
+
 class Permutation:
     """An element of the symmetric group on {0, ..., n-1}."""
 
@@ -69,14 +82,7 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)
-        result = identity(len(self.images))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _make(_power(self.images, k))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """self conjugated by g, i.e. g^-1 * self * g."""

@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
-from .perm import Permutation, _gather, _make
+from .perm import Permutation, _gather, _make, _power
 
 # the most work normal_subgroups may do, counted as in its docstring
 LATTICE_WORK_LIMIT = 2_000_000
@@ -133,17 +133,20 @@ def iterated_commutator(N: PermutationGroup, M: PermutationGroup, k: int) -> Per
     return current
 
 
+@group_fact
 def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
-    """N^q = <n^q for every element n of N>.
+    """N^q = <n^q for every element n of N>, cached on N.
 
     The full element set is enumerated: powers of the generators alone
-    generate the wrong subgroup in general.
+    generate the wrong subgroup in general. Each row of N is raised by
+    perm._power, and only the distinct q-th powers are wrapped for span.
     """
     if q < 1:
         raise ValueError("exponent must be positive")
     if q == 1:
         return N
-    return span(N.degree, (x ** q for x in N.elements()))
+    powers = {_power(x, q) for x in N.element_rows()}
+    return span(N.degree, map(_make, powers))
 
 
 def _conjugator(g: Permutation):
@@ -196,7 +199,7 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
         raise InternalMismatch(
             f"stabilizer order {N.order()} times orbit length {len(transversal)} "
             f"disagrees with group order {G.order()}")
-    return span(G.degree, N.elements(), N.order())
+    return span(G.degree, map(_make, N.element_rows()), N.order())
 
 
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:

@@ -36,8 +36,17 @@ def commutator_set(degree, A, B):
     return generated(degree, comms)
 
 
+def power_by_products(n, q):
+    # n^q as q % o(n) copies of n multiplied with *, not with **, which
+    # runs the library's power kernel
+    x = identity(n.degree)
+    for _ in range(q % n.order()):
+        x = x * n
+    return x
+
+
 def power_set(degree, N, q):
-    return generated(degree, {n ** q for n in N})
+    return generated(degree, {power_by_products(n, q) for n in N})
 
 
 def centralizer_set(G, S):

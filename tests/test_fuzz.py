@@ -6,7 +6,8 @@ on `analyze` and `pf verify`. Every run must end with exit code 0 or 1:
 an exception that escapes, or a finding (2) on these tiny groups, fails.
 The draws are derandomized, and recipes are bounded by order so nothing
 large gets built. Drawn groups also check that the conjugate-product
-refusal in the class-closure cores changes no core.
+refusal in the class-closure cores changes no core, and that the cached
+power subgroups keep the generators of the product-built route.
 """
 
 import pytest
@@ -26,8 +27,11 @@ import psolv.cli as cli
 import psolv.series
 from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
-from psolv.group import PermutationGroup, trivial_group
+from psolv.group import PermutationGroup, _grow, trivial_group
 from psolv.perm import Permutation
+from psolv.subgroups import power_subgroup
+
+from oracles import power_by_products
 
 # the largest group a drawn recipe may name; S5 and the order-125 groups fit
 ORDER_LIMIT = 200
@@ -246,3 +250,19 @@ def test_conjugate_products_change_no_core(G, p):
         assert cores() == with_products
     finally:
         psolv.series._refused_by_a_conjugate_product = real
+
+
+# --- power subgroups --------------------------------------------------------
+
+@SETTINGS
+@given(G=permutation_groups(), q=st.sampled_from((2, 3, 4, 6, 9, 12)))
+def test_power_subgroups_keep_the_product_route(G, q):
+    # the route before the power kernel: every element raised by __mul__,
+    # the distinct powers sorted by their images and sifted in that order
+    powers = sorted(set(power_by_products(x, q) for x in G.elements()),
+                    key=lambda x: x.images)
+    want = _grow(trivial_group(G.degree), powers)
+    got = power_subgroup(G, q)
+    assert got.generators == want.generators
+    assert power_subgroup(G, q) is got
+    assert power_subgroup(G, 1) is G

@@ -2,9 +2,9 @@
 
 The orbit walk group._orbit, StabilizerChain (its orbits, sift and Schreier
 test), its element table, the conjugation action and subgroups._stabilizer
-build their elements through perm._gather or bytes.translate, not
-Permutation.__mul__; these tests rebuild them with products, inverses and
-conjugates, on fixed groups
+build their elements through perm._gather or bytes.translate, and powers
+go through perm._power, not Permutation.__mul__; these tests rebuild them
+with products, inverses and conjugates, on fixed groups
 from degree 1 up and on small groups drawn at random, and check that the
 walks, the chains, the order of the elements, the action and the
 normalizer and centralizer built on it all agree.
@@ -17,7 +17,7 @@ import pytest
 
 from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.group import PermutationGroup, _orbit, span, trivial_group
-from psolv.perm import Permutation, _gather, _make, identity
+from psolv.perm import Permutation, _gather, _make, _power, identity
 from psolv.subgroups import (_conjugation_action, _conjugator,
                              _element_positions, centralizer, normalizer,
                              same_subgroup)
@@ -66,6 +66,22 @@ def test_gather_is_a_tuple_at_every_length():
     assert _gather((2,))(t) == ("c",)
     assert _gather((2, 0))(t) == ("c", "a")
     assert _gather((1, 1, 0))(t) == ("b", "b", "a")
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_power_is_the_repeated_product(degree):
+    rng = random.Random(degree)
+    for _ in range(3):
+        x = Permutation(rng.sample(range(degree), degree))
+        order = x.order()
+        product = identity(degree)
+        for k in range(2 * order + 2):
+            assert _power(x.images, k) == product.images, (x, k)
+            assert x ** k == product
+            product = product * x
+        assert _power(x.images, 2 ** 65) == _power(x.images, 2 ** 65 % order)
+        assert x ** -3 == x.inverse() * x.inverse() * x.inverse()
+        assert x ** -order == identity(degree)
 
 
 def test_elements_are_the_chain_products_in_order(G):

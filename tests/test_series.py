@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
-from psolv.catalog import DEFAULT_CATALOG, build_group
+from psolv.battery import battery_for_group
+from psolv.catalog import DEFAULT_CATALOG, build_group, emit_report
 from psolv.errors import (
     CapExceeded,
     InternalMismatch,
@@ -186,6 +189,22 @@ def test_a_group_of_2_length_3():
     assert rep.orders() == [1, 1, 256, 2304, 18432, 55296, 110592]
     assert rep.is_p_solvable and rep.p_length == 3
     assert p_length(G, 3) == 2
+
+
+# sha256 of the structured battery report of 2^8:AGL(2,3) with seed 7; no
+# catalog group raises as many elements to powers, so an engine change
+# that moves one byte of it is a bug
+AFFINE_REPORT_SHA256 = {
+    2: "10e8eda4a1a1bda8265bab29e8b7e38f67d833ff6cb4810aa1cec8eade50d19d",
+    3: "153fef8c184546092fd5d70da43b5ad60ad4c2b6bea7505bd3b6c415b2e52fa5",
+}
+
+
+@pytest.mark.parametrize("p", sorted(AFFINE_REPORT_SHA256))
+def test_affine_battery_report_bytes_are_pinned(p):
+    reports = battery_for_group(_affine_on_doubled_points(), "2^8:AGL(2,3)", p, 7)
+    blob = emit_report(reports, "structured")
+    assert hashlib.sha256(blob.encode()).hexdigest() == AFFINE_REPORT_SHA256[p]
 
 
 def _p_steps_over_nontrivial(G, p):
