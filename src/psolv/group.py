@@ -260,16 +260,23 @@ def trivial_group(degree: int) -> PermutationGroup:
 def group_fact(fn):
     """Compute fn(G, *args) once per group object and argument values.
 
-    The value is kept in G._facts under (fn, args), so later calls return
-    the very same object. Arguments are positional only, with no defaults,
-    so each value has one key. A call that raises stores nothing. A value
-    that is G itself is kept as a marker, not as a reference to G. Only for
-    pure functions of a group whose value is safe to share.
+    The value is kept in G._facts under fn and the arguments, so later
+    calls return the very same object. A group among the arguments, as in
+    a pair fact such as commutator(A, B), is keyed by (degree, generators),
+    the data that defines it. So the key holds no group: a fact never
+    keeps another group alive or closes a reference cycle through it, and
+    a new group object with the same generators finds the same value.
+    Arguments are positional only, with no defaults, so each value has one
+    key. A call that raises stores nothing. A value that is G itself is
+    kept as a marker, not as a reference to G. Only for pure functions of
+    a group, and of the other groups' generators, whose value is safe to
+    share.
     """
 
     @functools.wraps(fn)
     def cached(G, *args):
-        key = (fn, args)
+        key = (fn, *((a.degree, a.generators) if isinstance(a, PermutationGroup) else a
+                     for a in args))
         try:
             value = G._facts[key]
         except KeyError:

@@ -85,12 +85,20 @@ class Permutation:
         return _make(_power(self.images, k))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """self conjugated by g, i.e. g^-1 * self * g."""
-        return g.inverse() * self * g
+        """self conjugated by g, i.e. g^-1 * self * g, whose images are
+        g[self[g^-1[b]]]: self's images gathered in g^-1's order, then g's
+        gathered in theirs, one _gather pass each."""
+        if len(self.images) != len(g.images):
+            raise DegreeMismatch(
+                f"cannot compose degree {len(self.images)} with degree {len(g.images)}"
+            )
+        return _make(_gather(_gather(g.inverse().images)(self.images))(g.images))
 
     def commutator(self, other: "Permutation") -> "Permutation":
-        """[self, other] = self^-1 * other^-1 * self * other."""
-        return self.inverse() * other.inverse() * self * other
+        """[self, other] = self^-1 * other^-1 * self * other, that is
+        self^-1 times self conjugated by other: the conjugate's images
+        gathered in self^-1's order."""
+        return _make(_gather(self.inverse().images)(self.conjugate(other).images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))

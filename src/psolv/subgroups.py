@@ -52,8 +52,9 @@ def same_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
     return A.order() == B.order() and is_subgroup(A, B)
 
 
+@group_fact
 def _normalizes(H: PermutationGroup, N: PermutationGroup) -> bool:
-    """True when conjugation by every generator of H fixes N."""
+    """True when conjugation by every generator of H fixes N, cached on H."""
     return all(N.contains(n.conjugate(h)) for h in H.generators for n in N.generators)
 
 
@@ -108,16 +109,19 @@ def normal_closure(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup
     return K
 
 
+@group_fact
 def commutator(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
-    """[A, B]: the normal closure in <A, B> of the generator commutators."""
+    """[A, B]: the normal closure in <A, B> of the generator commutators,
+    cached on A."""
     _check_degrees(A, B)
     J = join(A, B)
     seeds = span(A.degree, (a.commutator(b) for a in A.generators for b in B.generators))
     return normal_closure(J, seeds)
 
 
+@group_fact
 def iterated_commutator(N: PermutationGroup, M: PermutationGroup, k: int) -> PermutationGroup:
-    """[N, M, M, ..., M] with k copies of M. k must be positive.
+    """[N, M, M, ..., M] with k copies of M, cached on N. k must be positive.
 
     The fold stops early once a step repeats, which cannot change the value.
     """

@@ -21,7 +21,8 @@ from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.series import gamma, lower_central_series, sylow
 from psolv.theorems import question7_scan
-from psolv.subgroups import (conjugacy_classes, join, normal_closure,
+from psolv.subgroups import (commutator, conjugacy_classes, is_normal,
+                             iterated_commutator, join, normal_closure,
                              normal_subgroups, power_subgroup, same_subgroup)
 
 
@@ -362,9 +363,14 @@ def test_facts_and_searches_leave_no_reference_cycle():
         ekr_pf_candidates(P, 2, 1, 1)
         lower_central_series(P)
         conjugacy_classes(P)
+        # pair facts are cached on P, keyed by the other group's generators
+        Z = g(4, "(1 3)(2 4)")
+        assert commutator(P, Z).is_trivial()
+        assert iterated_commutator(P, P, 2).is_trivial()
+        assert is_normal(P, Z)
         out = pf_embedded_search(P, 2, P, 1)
         assert out.status == SearchOutcome.NOT_PF_EMBEDDED
-        del P, out
+        del P, Z, out
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -2,12 +2,12 @@
 
 The orbit walk group._orbit, StabilizerChain (its orbits, sift and Schreier
 test), its element table, the conjugation action and subgroups._stabilizer
-build their elements through perm._gather or bytes.translate, and powers
-go through perm._power, not Permutation.__mul__; these tests rebuild them
-with products, inverses and conjugates, on fixed groups
-from degree 1 up and on small groups drawn at random, and check that the
-walks, the chains, the order of the elements, the action and the
-normalizer and centralizer built on it all agree.
+build their elements through perm._gather or bytes.translate, powers go
+through perm._power, and conjugates and commutators are gather chains, not
+Permutation.__mul__. These tests rebuild each of them with products and
+inverses, on fixed groups from degree 1 up and on small groups drawn at
+random, and check that the walks, the chains, the order of the elements,
+the action and the normalizer and centralizer built on it all agree.
 """
 
 import random
@@ -16,6 +16,7 @@ from functools import partial
 import pytest
 
 from psolv.catalog import DEFAULT_CATALOG, build_group
+from psolv.errors import DegreeMismatch
 from psolv.group import PermutationGroup, _orbit, span, trivial_group
 from psolv.perm import Permutation, _gather, _make, _power, identity
 from psolv.subgroups import (_conjugation_action, _conjugator,
@@ -82,6 +83,26 @@ def test_power_is_the_repeated_product(degree):
         assert _power(x.images, 2 ** 65) == _power(x.images, 2 ** 65 % order)
         assert x ** -3 == x.inverse() * x.inverse() * x.inverse()
         assert x ** -order == identity(degree)
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_conjugate_and_commutator_are_the_products(degree):
+    rng = random.Random(100 + degree)
+    for _ in range(5):
+        x = Permutation(rng.sample(range(degree), degree))
+        g = Permutation(rng.sample(range(degree), degree))
+        assert x.conjugate(g) == g.inverse() * x * g, (x, g)
+        assert x.commutator(g) == x.inverse() * g.inverse() * x * g, (x, g)
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (4, 3), (1, 2)])
+def test_conjugate_and_commutator_refuse_other_degrees(a, b):
+    # a gather of the longer images through the shorter would not fail
+    x, g = Permutation(reversed(range(a))), Permutation(reversed(range(b)))
+    with pytest.raises(DegreeMismatch):
+        x.conjugate(g)
+    with pytest.raises(DegreeMismatch):
+        x.commutator(g)
 
 
 def test_elements_are_the_chain_products_in_order(G):

@@ -1,9 +1,9 @@
 import pytest
 
 from psolv.catalog import build_group
-from psolv.errors import CapExceeded, InternalMismatch
+from psolv.errors import CapExceeded, DegreeMismatch, InternalMismatch
 from psolv.group import PermutationGroup, StabilizerChain, trivial_group
-from psolv.perm import parse_cycles
+from psolv.perm import Permutation, parse_cycles
 from psolv.subgroups import (
     _conjugation_action,
     centralizer,
@@ -99,6 +99,55 @@ def test_iterated_commutator():
     assert iterated_commutator(S4, trivial_group(4), 3).is_trivial()
     with pytest.raises(ValueError):
         iterated_commutator(S4, S4, 0)
+
+
+def test_pair_facts_are_computed_once(monkeypatch):
+    # every route of the three pair facts conjugates permutations: the
+    # normal closure, the generator commutators and the normality test
+    calls = 0
+    real = Permutation.conjugate
+
+    def counted(x, h):
+        nonlocal calls
+        calls += 1
+        return real(x, h)
+
+    monkeypatch.setattr(Permutation, "conjugate", counted)
+    A = g(4, "(1 2)", "(1 2 3 4)")
+    B = g(4, "(1 2 3)")
+    C = commutator(A, B)
+    K = iterated_commutator(A, B, 3)
+    normal = is_normal(A, B)
+    assert calls > 0
+    calls = 0
+    # a repeat call returns the very same object
+    assert commutator(A, B) is C
+    assert iterated_commutator(A, B, 3) is K
+    # a new B with the same generators is the same group, and hits too
+    again = PermutationGroup(4, B.generators)
+    assert again is not B
+    assert commutator(A, again) is C
+    assert iterated_commutator(A, again, 3) is K
+    assert is_normal(A, again) is normal
+    assert calls == 0
+    # other arguments are other facts
+    assert commutator(A, A) is not C
+    assert iterated_commutator(A, B, 2) is not K
+    assert calls > 0
+
+
+def test_pair_fact_keys_keep_the_degree():
+    # trivial groups of degree 3 and 5 have the same empty generator list
+    C3 = g(3, "(1 2 3)")
+    assert commutator(C3, trivial_group(3)).is_trivial()
+    assert iterated_commutator(C3, trivial_group(3), 1).is_trivial()
+    with pytest.raises(DegreeMismatch):
+        commutator(C3, trivial_group(5))
+    with pytest.raises(DegreeMismatch):
+        iterated_commutator(C3, trivial_group(5), 1)
+    # a call that raised stored nothing
+    with pytest.raises(DegreeMismatch):
+        commutator(C3, trivial_group(5))
 
 
 def test_power_subgroup():

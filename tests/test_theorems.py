@@ -320,6 +320,29 @@ def test_o24_inclusion_various_instances():
     assert v.hypothesis_holds and v.conclusion_holds
 
 
+def test_a_repeated_o24_check_builds_no_commutator(monkeypatch):
+    import psolv.subgroups
+    calls = 0
+    real = psolv.subgroups.normal_closure
+
+    def counted(G, S):
+        nonlocal calls
+        calls += 1
+        return real(G, S)
+
+    monkeypatch.setattr(psolv.subgroups, "normal_closure", counted)
+    # groups of its own, so no other test has filled their caches
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    V, M = g(4, "(1 2)(3 4)", "(1 3)(2 4)"), sylow(G, 2)
+    first = check_O24_inclusion(G, V, M, 2, 1, 2)
+    assert calls > 0
+    calls = 0
+    # the commutators are cached on V and the powers on their groups
+    again = check_O24_inclusion(G, V, M, 2, 1, 2)
+    assert calls == 0
+    assert again.to_payload() == first.to_payload()
+
+
 def test_o24_rejects_bad_parameters():
     with pytest.raises(PreconditionViolated):
         check_O24_inclusion(S4, V4, sylow(S4, 2), 2, -1, 1)
