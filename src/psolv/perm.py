@@ -44,6 +44,20 @@ def _power(images, k):
     return result
 
 
+def _conjugator(g):
+    """The function taking the images of y, a permutation of g's degree,
+    to those of g^-1 * y * g, which are g[y[g^-1[b]]] for each point b:
+    y gathers g's images, and one itemgetter over g^-1's images, built
+    once per g, puts them in b's order. On one point y can only be the
+    identity and is returned as it is, since itemgetter(i) yields a bare
+    int."""
+    if len(g.images) == 1:
+        return lambda y: y
+    gi = g.images
+    after = itemgetter(*g.inverse().images)
+    return lambda y: after(itemgetter(*y)(gi))
+
+
 class Permutation:
     """An element of the symmetric group on {0, ..., n-1}."""
 
@@ -85,14 +99,10 @@ class Permutation:
         return _make(_power(self.images, k))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """self conjugated by g, i.e. g^-1 * self * g, whose images are
-        g[self[g^-1[b]]]: self's images gathered in g^-1's order, then g's
-        gathered in theirs, one _gather pass each."""
+        """self conjugated by g, i.e. g^-1 * self * g, by _conjugator."""
         if len(self.images) != len(g.images):
-            raise DegreeMismatch(
-                f"cannot compose degree {len(self.images)} with degree {len(g.images)}"
-            )
-        return _make(_gather(_gather(g.inverse().images)(self.images))(g.images))
+            return self * g  # raises DegreeMismatch
+        return _make(_conjugator(g)(self.images))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         """[self, other] = self^-1 * other^-1 * self * other, that is

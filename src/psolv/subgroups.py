@@ -9,11 +9,10 @@ mutual generator membership, never equal generator lists.
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
-from .perm import Permutation, _gather, _make, _power
+from .perm import _conjugator, _gather, _make, _power
 
 # the most work normal_subgroups may do, counted as in its docstring
 LATTICE_WORK_LIMIT = 2_000_000
@@ -52,9 +51,8 @@ def same_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
     return A.order() == B.order() and is_subgroup(A, B)
 
 
-@group_fact
 def _normalizes(H: PermutationGroup, N: PermutationGroup) -> bool:
-    """True when conjugation by every generator of H fixes N, cached on H."""
+    """True when conjugation by every generator of H fixes N."""
     return all(N.contains(n.conjugate(h)) for h in H.generators for n in N.generators)
 
 
@@ -119,11 +117,12 @@ def commutator(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     return normal_closure(J, seeds)
 
 
-@group_fact
 def iterated_commutator(N: PermutationGroup, M: PermutationGroup, k: int) -> PermutationGroup:
-    """[N, M, M, ..., M] with k copies of M, cached on N. k must be positive.
+    """[N, M, M, ..., M] with k copies of M. k must be positive.
 
     The fold stops early once a step repeats, which cannot change the value.
+    Each step is the cached commutator of the step before, so a repeated
+    fold returns the very same group.
     """
     if k < 1:
         raise ValueError("iterated commutator needs at least one step")
@@ -151,19 +150,6 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
         return N
     powers = {_power(x, q) for x in N.element_rows()}
     return span(N.degree, map(_make, powers))
-
-
-def _conjugator(g: Permutation):
-    """The function taking y's images to those of g^-1 * y * g, which are
-    g[y[g^-1[b]]] for each point b: y gathers g's images, and one
-    itemgetter over g^-1's images, built once per g, puts them in b's
-    order. On one point y can only be the identity and is returned as
-    it is, since itemgetter(i) yields a bare int."""
-    if g.degree == 1:
-        return lambda y: y
-    gi = g.images
-    after = itemgetter(*g.inverse().images)
-    return lambda y: after(itemgetter(*y)(gi))
 
 
 @group_fact

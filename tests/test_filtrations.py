@@ -363,7 +363,7 @@ def test_facts_and_searches_leave_no_reference_cycle():
         ekr_pf_candidates(P, 2, 1, 1)
         lower_central_series(P)
         conjugacy_classes(P)
-        # pair facts are cached on P, keyed by the other group's generators
+        # commutators are cached on P, keyed by the other group's generators
         Z = g(4, "(1 3)(2 4)")
         assert commutator(P, Z).is_trivial()
         assert iterated_commutator(P, P, 2).is_trivial()

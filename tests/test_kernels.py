@@ -18,8 +18,8 @@ import pytest
 from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import DegreeMismatch
 from psolv.group import PermutationGroup, _orbit, span, trivial_group
-from psolv.perm import Permutation, _gather, _make, _power, identity
-from psolv.subgroups import (_conjugation_action, _conjugator,
+from psolv.perm import Permutation, _conjugator, _gather, _make, _power, identity
+from psolv.subgroups import (_conjugation_action,
                              _element_positions, centralizer, normalizer,
                              same_subgroup)
 
@@ -319,7 +319,7 @@ def _generator_tuples(G):
     conjs = [_conjugator(g) for g in G.generators]
 
     def tup(x):
-        return tuple(s.conjugate(x).images for s in S)
+        return tuple((x.inverse() * s * x).images for s in S)
     return tup(identity(G.degree)), lambda t, i: tuple(map(conjs[i], t)), tup
 
 
