@@ -142,17 +142,22 @@ def _linear_action_verdict(G, gid, p, seed):
     els = G.elements()
     kernel_els = V.elements()
     I = FpMatrix.identity(p, action.dimension)
+    shifted = {}  # T(g) - I, once per element g
     hom_ok = True
     comm_ok = True
     for _ in range(SAMPLE_PAIRS):
         g = rng.choice(els)
         h = rng.choice(els)
-        if action.matrix(g * h) != action.matrix(g) * action.matrix(h):
+        T = action.matrix(g)
+        if action.matrix(g * h) != T * action.matrix(h):
             hom_ok = False
             break
         v = rng.choice(kernel_els)
         lhs = action.coords(v.commutator(g))
-        rhs = (action.matrix(g) - I).row_apply(action.coords(v))
+        D = shifted.get(g.images)
+        if D is None:
+            D = shifted[g.images] = T - I
+        rhs = D.row_apply(action.coords(v))
         if lhs != rhs:
             comm_ok = False
             break

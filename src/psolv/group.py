@@ -288,18 +288,35 @@ def group_fact(fn):
     return cached
 
 
-def _grow(G: PermutationGroup, elements, order=None) -> PermutationGroup:
+def _grow(G: PermutationGroup, elements) -> PermutationGroup:
     """G with each element outside the group so far adjoined in turn, in
-    the order given, stopping as soon as the group's order reaches order.
-    The generators are G's followed by the adjoined elements."""
+    the order given. The generators are G's followed by the adjoined
+    elements."""
     gens = list(G.generators)
     for x in elements:
-        if order is not None and G.order() >= order:
-            break
         if not G.contains(x):
             gens.append(x)
             G = PermutationGroup(G.degree, gens)
     return G
+
+
+def _adjoin(rows: set, gens: list, x) -> None:
+    """Grow rows, the images of every element of the group H generated by
+    the images in gens, in place to those of <H, x>, and append x to gens.
+    <H, x> is a union of right cosets H r (Dimino 1971): from r = 1, each
+    representative r times each generator t lies in the coset H r t, which
+    is new, and is added whole, when r t is outside the rows so far. No
+    chain is built."""
+    by_h = [_gather(h) for h in rows]
+    gens.append(x)
+    reps = [tuple(range(len(x)))]
+    for r in reps:
+        by_r = _gather(r)
+        for t in gens:
+            y = by_r(t)
+            if y not in rows:
+                rows.update([by(y) for by in by_h])
+                reps.append(y)
 
 
 def span(degree: int, elements, order=None) -> PermutationGroup:
@@ -307,11 +324,21 @@ def span(degree: int, elements, order=None) -> PermutationGroup:
 
     Elements are taken in sorted image order and kept only when they add
     something, so the result is deterministic and its generator count stays
-    logarithmic in the group order. When the elements are known to form a
-    subgroup, pass their number as order: sifting stops once it is reached,
-    and the generators are the same, since every later element lies inside.
-    The distinct image tuples are sorted as they are, and each is wrapped
-    only when _grow reaches it.
+    logarithmic in the group order. The distinct image tuples are sorted as
+    they are, and each is wrapped only when _grow reaches it. When the
+    elements are known to form a subgroup, pass their number as order: the
+    group so far is then kept as its set of rows, grown by _adjoin, so
+    membership is a set lookup and one chain is built, for the result; the
+    choice stops once order is reached, and the generators are the same,
+    since every later element lies inside.
     """
     rows = sorted({x.images for x in elements})
-    return _grow(trivial_group(degree), map(_make, rows), order)
+    if order is None:
+        return _grow(trivial_group(degree), map(_make, rows))
+    found, gens = {tuple(range(degree))}, []
+    for x in rows:
+        if len(found) >= order:
+            break
+        if x not in found:
+            _adjoin(found, gens, x)
+    return PermutationGroup(degree, map(_make, gens))

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .group import PermutationGroup
-from .perm import Permutation, identity
+from .perm import Permutation, _conjugator, _make, identity
 from .series import require_prime
 from .subgroups import is_normal
 
@@ -89,7 +89,8 @@ class LinearAction:
     and elementary abelian of exponent p (KernelNotElementaryAbelian). The
     basis is the greedy independent subfamily of the kernel's generators
     and every kernel element is tabulated by its exponent vector, so matrix
-    extraction is a dictionary lookup per basis vector.
+    extraction is a dictionary lookup per basis vector. Each element's
+    matrix is kept on the instance, keyed by its images.
     """
 
     def __init__(self, G: PermutationGroup, V: PermutationGroup, p: int):
@@ -135,6 +136,7 @@ class LinearAction:
         self.basis = tuple(basis)
         self.dimension = d
         self._coords = seen
+        self._matrices = {}
 
     def coords(self, v: Permutation) -> tuple:
         try:
@@ -152,12 +154,20 @@ class LinearAction:
         return x
 
     def matrix(self, g: Permutation) -> FpMatrix:
-        """Row i is coords(basis_i conjugated by g)."""
-        if not self.group.contains(g):
-            raise PreconditionViolated(
-                "the acting element must belong to the base group")
-        return FpMatrix(self.prime, tuple(
-            self.coords(b.conjugate(g)) for b in self.basis))
+        """Row i is coords(basis_i conjugated by g). Built once per element:
+        g is sifted through the base group and its conjugator made on the
+        first call for its images, and later calls return the same matrix.
+        A refusal is not kept, so an element outside the base group raises
+        PreconditionViolated on every call."""
+        T = self._matrices.get(g.images)
+        if T is None:
+            if not self.group.contains(g):
+                raise PreconditionViolated(
+                    "the acting element must belong to the base group")
+            conj = _conjugator(g)
+            T = self._matrices[g.images] = FpMatrix(self.prime, tuple(
+                self.coords(_make(conj(b.images))) for b in self.basis))
+        return T
 
 
 def unipotency_degree(T: FpMatrix) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
-from .group import PermutationGroup, _grow, _orbit, group_fact, span, trivial_group
+from .group import PermutationGroup, _adjoin, _grow, _orbit, group_fact, span, trivial_group
 from .perm import _conjugator, _gather, _make, _power
 
 # the most work normal_subgroups may do, counted as in its docstring
@@ -52,8 +52,11 @@ def same_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
 
 
 def _normalizes(H: PermutationGroup, N: PermutationGroup) -> bool:
-    """True when conjugation by every generator of H fixes N."""
-    return all(N.contains(n.conjugate(h)) for h in H.generators for n in N.generators)
+    """True when conjugation by every generator of H fixes N; one
+    conjugator is built per generator of H."""
+    _check_degrees(H, N)
+    return all(N.contains(_make(conj(n.images)))
+               for conj in map(_conjugator, H.generators) for n in N.generators)
 
 
 def is_normal(G: PermutationGroup, N: PermutationGroup) -> bool:
@@ -77,17 +80,19 @@ def _normal_closure_steps(G: PermutationGroup, S: PermutationGroup):
     The first is <S>; each later one adds a conjugate, by a generator of
     G, of a working generator that the one before lacks, and the last is
     the normal closure itself. Each is a subgroup of the next, so a
-    caller may stop as soon as one shows the closure will not do.
+    caller may stop as soon as one shows the closure will not do. One
+    conjugator is built per generator of G.
     """
     _check_degrees(G, S)
     gens = [g for g in S.generators if not g.is_identity()]
     K = PermutationGroup(G.degree, gens)
     yield K
+    conjs = [_conjugator(g) for g in G.generators]
     queue = deque(gens)
     while queue:
         x = queue.popleft()
-        for g in G.generators:
-            y = x.conjugate(g)
+        for conj in conjs:
+            y = _make(conj(x.images))
             grown = _grow(K, [y])
             if grown is not K:
                 K = grown
@@ -176,20 +181,29 @@ def _conjugation_action(G: PermutationGroup) -> tuple:
 
 def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> PermutationGroup:
     """The stabilizer in G of point, grown from seed; act(x, i) is x's image
-    under the i-th generator of G. The Schreier generators u * g * v^-1 of
-    the orbit walk's steps (group._orbit) join while outside the group so
-    far, until its order is |G| / |orbit|; running out below that raises
-    InternalMismatch."""
+    under the i-th generator of G. Its rows start as seed's, and the
+    Schreier generators u * g * v^-1 of the orbit walk's steps
+    (group._orbit) outside the rows so far are adjoined by right cosets
+    (group._adjoin), until there are |G| / |orbit| rows; running out below
+    that raises InternalMismatch. The result is the span of the rows, so
+    its generators are the greedy choice over them in sorted order."""
     one = tuple(range(G.degree))
     gens = [(g.images, g.inverse().images) for g in G.generators]
     transversal, steps = _orbit(one, gens, point, act)
-    schreier = (_gather(_gather(u)(g))(transversal[y][1]) for u, g, y in steps)
-    N = _grow(seed, (_make(s) for s in schreier if s != one), G.order() // len(transversal))
-    if N.order() * len(transversal) != G.order():
+    order = G.order() // len(transversal)
+    rows = set(seed.element_rows())
+    kept = [x.images for x in seed.generators]
+    for u, g, y in steps:
+        if len(rows) >= order:
+            break
+        s = _gather(_gather(u)(g))(transversal[y][1])
+        if s not in rows:
+            _adjoin(rows, kept, s)
+    if len(rows) * len(transversal) != G.order():
         raise InternalMismatch(
-            f"stabilizer order {N.order()} times orbit length {len(transversal)} "
+            f"stabilizer order {len(rows)} times orbit length {len(transversal)} "
             f"disagrees with group order {G.order()}")
-    return span(G.degree, map(_make, N.element_rows()), N.order())
+    return span(G.degree, map(_make, rows), len(rows))
 
 
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:

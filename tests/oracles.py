@@ -58,6 +58,13 @@ def normalizer_set(degree, G, H):
                      if all(h.conjugate(g) in H for h in H))
 
 
+def action_matrix_rows(action, g):
+    """The rows of the matrix of g in a LinearAction, built afresh: the
+    coordinates of each basis vector conjugated by g with
+    Permutation.conjugate, as the action's own table gives them."""
+    return tuple(action.coords(b.conjugate(g)) for b in action.basis)
+
+
 def exponent_of(elems):
     e = 1
     for g in elems:

@@ -6,8 +6,10 @@ on `analyze` and `pf verify`. Every run must end with exit code 0 or 1:
 an exception that escapes, or a finding (2) on these tiny groups, fails.
 The draws are derandomized, and recipes are bounded by order so nothing
 large gets built. Drawn groups also check that the conjugate-product
-refusal in the class-closure cores changes no core, and that the cached
-power subgroups keep the generators of the product-built route.
+refusal in the class-closure cores changes no core, that the cached
+power subgroups keep the generators of the product-built route, and that
+the hoisted conjugators of the normality test and the normal closure
+keep the answers of conjugation one pair at a time.
 """
 
 import pytest
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import tempfile
+from collections import deque
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +32,7 @@ from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
 from psolv.group import PermutationGroup, _grow, trivial_group
 from psolv.perm import Permutation
-from psolv.subgroups import power_subgroup
+from psolv.subgroups import _normalizes, normal_closure, power_subgroup
 
 from oracles import power_by_products
 
@@ -266,3 +269,48 @@ def test_power_subgroups_keep_the_product_route(G, q):
     assert got.generators == want.generators
     assert power_subgroup(G, q) is got
     assert power_subgroup(G, 1) is G
+
+
+# --- conjugation kernels ----------------------------------------------------
+
+@st.composite
+def group_pairs(draw):
+    # G, and N generated by elements of G or by any permutations of its
+    # points, so N is sometimes normal in G and sometimes not even inside
+    G = draw(permutation_groups())
+    els = G.elements()
+    gens = draw(st.lists(st.one_of(
+        st.permutations(range(G.degree)),
+        st.integers(0, len(els) - 1).map(lambda i: list(els[i].images))),
+        max_size=3))
+    return G, PermutationGroup(G.degree, [Permutation(x) for x in gens])
+
+
+def _normalizes_by_conjugate(H, N):
+    return all(N.contains(n.conjugate(h)) for h in H.generators for n in N.generators)
+
+
+def _normal_closure_by_conjugate(G, S):
+    # the closure with every conjugate made by Permutation.conjugate
+    gens = [x for x in S.generators if not x.is_identity()]
+    K = PermutationGroup(G.degree, gens)
+    queue = deque(gens)
+    while queue:
+        x = queue.popleft()
+        for g in G.generators:
+            y = x.conjugate(g)
+            grown = _grow(K, [y])
+            if grown is not K:
+                K = grown
+                queue.append(y)
+    return K
+
+
+@SETTINGS
+@given(pair=group_pairs())
+def test_hoisted_conjugators_keep_the_conjugate_route(pair):
+    G, N = pair
+    assert _normalizes(G, N) == _normalizes_by_conjugate(G, N)
+    assert _normalizes(N, G) == _normalizes_by_conjugate(N, G)
+    assert (normal_closure(G, N).generators
+            == _normal_closure_by_conjugate(G, N).generators)

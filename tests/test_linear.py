@@ -1,15 +1,20 @@
-import random
-
 import pytest
 
-from psolv.errors import DegreeMismatch, KernelNotElementaryAbelian, NotNormal
+from psolv.errors import (
+    DegreeMismatch,
+    KernelNotElementaryAbelian,
+    NotNormal,
+    PreconditionViolated,
+)
 from psolv.group import PermutationGroup, trivial_group
 from psolv.linear import (
     FpMatrix,
     LinearAction,
     unipotency_degree,
 )
-from psolv.perm import parse_cycles
+from psolv.perm import Permutation, parse_cycles
+
+from oracles import action_matrix_rows
 
 
 def g(degree, *cycle_texts):
@@ -82,12 +87,30 @@ def test_centralizing_elements_act_trivially():
 
 
 def test_action_is_a_homomorphism():
+    # over every pair, so most matrices come from the memo; each one is
+    # also checked against the uncached oracle
+    for G in (S4, A4):
+        A = LinearAction(G, V4, 2)
+        els = G.elements()
+        for x in els:
+            assert A.matrix(x).rows == action_matrix_rows(A, x)
+            for y in els:
+                assert A.matrix(x * y) == A.matrix(x) * A.matrix(y)
+
+
+def test_matrices_are_kept_per_element():
     A = LinearAction(S4, V4, 2)
-    rng = random.Random("linear-test")
-    els = S4.elements()
-    for _ in range(300):
-        x, y = rng.choice(els), rng.choice(els)
-        assert A.matrix(x * y) == A.matrix(x) * A.matrix(y)
+    x = parse_cycles("(1 2 3)", 4)
+    T = A.matrix(x)
+    assert A.matrix(Permutation(x.images)) is T
+
+
+def test_an_outside_element_is_refused_on_every_call():
+    A = LinearAction(A4, V4, 2)
+    x = parse_cycles("(1 2)", 4)
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            A.matrix(x)
 
 
 def test_action_matches_conjugation():

@@ -6,6 +6,7 @@ from psolv.group import PermutationGroup, StabilizerChain, trivial_group
 from psolv.perm import Permutation, parse_cycles
 from psolv.subgroups import (
     _conjugation_action,
+    _normalizes,
     centralizer,
     commutator,
     conjugacy_classes,
@@ -241,20 +242,23 @@ def test_normal_core_of_a_normal_subgroup_enumerates_nothing(monkeypatch):
 
 def test_sylow_of_s8_stops_its_stabilizers_at_the_target_order(monkeypatch):
     # the Schreier generators stop once the stabilizer reaches
-    # |G| / |orbit|; walking them all made 3,451 membership tests here
+    # |G| / |orbit|: 60 of the orbit walks' 1,398 steps are read here
     import psolv.series
+    import psolv.subgroups
     G = build_group("symmetric:8")
     G.elements()
-    calls = []
-    contains = PermutationGroup.contains
+    steps, read = [], []
+    orbit = psolv.subgroups._orbit
 
-    def counted(self, x):
-        calls.append(1)
-        return contains(self, x)
+    def counted(*args):
+        transversal, walked = orbit(*args)
+        steps.extend(walked)
+        return transversal, (read.append(s) or s for s in walked)
 
-    monkeypatch.setattr(PermutationGroup, "contains", counted)
+    monkeypatch.setattr(psolv.subgroups, "_orbit", counted)
     assert psolv.series.sylow(G, 2).order() == 128
-    assert len(calls) <= 2300
+    assert len(steps) > 1000
+    assert len(read) <= 200
 
 
 def test_normalizer_against_enumeration(monkeypatch):
@@ -297,10 +301,24 @@ def test_normalizer_needs_a_subgroup():
         normalizer(D10, g(5, "(1 2)"))
 
 
+def test_normalizes_refuses_other_degrees():
+    # the conjugators are built once per acting generator, before any
+    # conjugate is taken, so the degrees are compared first, also when
+    # one side has no generators
+    for H, N in ((S4, g(5, "(1 2)")), (g(5, "(1 2)"), S4),
+                 (S4, trivial_group(3)), (trivial_group(3), S4)):
+        with pytest.raises(DegreeMismatch):
+            _normalizes(H, N)
+
+
 def test_normalizer_checks_orbit_times_stabilizer(monkeypatch):
-    # a stabilizer that drops its Schreier generators stays at H, of order
-    # 3, while the orbit of <(1 2 3)> in S4 has 4 members: 3 * 4 != 24
-    monkeypatch.setattr(PermutationGroup, "contains", lambda self, x: True)
+    # an orbit walk that yields no Schreier steps leaves the stabilizer at
+    # H, of order 3, while the orbit of <(1 2 3)> in S4 has 4 members:
+    # 3 * 4 != 24
+    import psolv.subgroups
+    orbit = psolv.subgroups._orbit
+    monkeypatch.setattr(psolv.subgroups, "_orbit",
+                        lambda *args: (orbit(*args)[0], []))
     with pytest.raises(InternalMismatch):
         normalizer(S4, g(4, "(1 2 3)"))
 
