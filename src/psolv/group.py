@@ -319,6 +319,22 @@ def _adjoin(rows: set, gens: list, x) -> None:
                 reps.append(y)
 
 
+def _adjoin_all(rows: set, gens: list, candidates, order: int) -> None:
+    """Adjoin each of the candidate images outside rows in turn by _adjoin,
+    stopping once rows holds order images: rows and gens are those of the
+    group generated so far, grown in place. Raises CapExceeded, as
+    element_rows() does, before anything is adjoined when order >
+    DEFAULT_ENUM_CAP."""
+    if order > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"group order {order} exceeds enumeration cap "
+                          f"{DEFAULT_ENUM_CAP}")
+    for x in candidates:
+        if len(rows) >= order:
+            break
+        if x not in rows:
+            _adjoin(rows, gens, x)
+
+
 def span(degree: int, elements, order=None) -> PermutationGroup:
     """Group generated by the given elements, with a reduced generator list.
 
@@ -327,7 +343,7 @@ def span(degree: int, elements, order=None) -> PermutationGroup:
     logarithmic in the group order. The distinct image tuples are sorted as
     they are, and each is wrapped only when _grow reaches it. When the
     elements are known to form a subgroup, pass their number as order: the
-    group so far is then kept as its set of rows, grown by _adjoin, so
+    group so far is then kept as its set of rows, grown by _adjoin_all, so
     membership is a set lookup and one chain is built, for the result; the
     choice stops once order is reached, and the generators are the same,
     since every later element lies inside.
@@ -335,10 +351,6 @@ def span(degree: int, elements, order=None) -> PermutationGroup:
     rows = sorted({x.images for x in elements})
     if order is None:
         return _grow(trivial_group(degree), map(_make, rows))
-    found, gens = {tuple(range(degree))}, []
-    for x in rows:
-        if len(found) >= order:
-            break
-        if x not in found:
-            _adjoin(found, gens, x)
+    gens = []
+    _adjoin_all({tuple(range(degree))}, gens, rows, order)
     return PermutationGroup(degree, map(_make, gens))

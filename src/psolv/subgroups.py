@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
-from .group import PermutationGroup, _adjoin, _grow, _orbit, group_fact, span, trivial_group
+from .group import PermutationGroup, _adjoin_all, _grow, _orbit, group_fact, span, trivial_group
 from .perm import _conjugator, _gather, _make, _power
 
 # the most work normal_subgroups may do, counted as in its docstring
@@ -184,21 +184,18 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
     under the i-th generator of G. Its rows start as seed's, and the
     Schreier generators u * g * v^-1 of the orbit walk's steps
     (group._orbit) outside the rows so far are adjoined by right cosets
-    (group._adjoin), until there are |G| / |orbit| rows; running out below
-    that raises InternalMismatch. The result is the span of the rows, so
-    its generators are the greedy choice over them in sorted order."""
+    (group._adjoin_all), until there are |G| / |orbit| rows; running out
+    below that raises InternalMismatch, and a stabilizer order above
+    DEFAULT_ENUM_CAP raises CapExceeded before anything is adjoined. The
+    result is the span of the rows, so its generators are the greedy
+    choice over them in sorted order."""
     one = tuple(range(G.degree))
     gens = [(g.images, g.inverse().images) for g in G.generators]
     transversal, steps = _orbit(one, gens, point, act)
-    order = G.order() // len(transversal)
     rows = set(seed.element_rows())
-    kept = [x.images for x in seed.generators]
-    for u, g, y in steps:
-        if len(rows) >= order:
-            break
-        s = _gather(_gather(u)(g))(transversal[y][1])
-        if s not in rows:
-            _adjoin(rows, kept, s)
+    schreier = (_gather(_gather(u)(g))(transversal[y][1]) for u, g, y in steps)
+    _adjoin_all(rows, [x.images for x in seed.generators], schreier,
+                G.order() // len(transversal))
     if len(rows) * len(transversal) != G.order():
         raise InternalMismatch(
             f"stabilizer order {len(rows)} times orbit length {len(transversal)} "

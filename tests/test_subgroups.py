@@ -196,6 +196,42 @@ def test_centralizer_of_a_subgroup_outside_the_group():
     assert as_set(centralizer(A4, trivial_group(4))) == elements_of(A4)
 
 
+def test_centralizer_in_a_group_past_the_cap_grows_nothing(monkeypatch):
+    # C_G((1 2)) in S12 has order 2 * 10! = 7,257,600; CapExceeded comes
+    # before a single coset of it is adjoined
+    import psolv.group
+
+    def adjoin(*args):
+        raise AssertionError("a stabilizer past the cap was grown")
+
+    monkeypatch.setattr(psolv.group, "_adjoin", adjoin)
+    S12 = g(12, "(1 2)", "(1 2 3 4 5 6 7 8 9 10 11 12)")
+    with pytest.raises(CapExceeded):
+        centralizer(S12, g(12, "(1 2)"))
+
+
+def test_stabilizer_order_is_checked_against_the_cap(monkeypatch):
+    # C_S6((1 2)) = <(1 2)> x S4 has order 48: grown at a cap of 48,
+    # refused at 47 before anything is adjoined
+    import psolv.group
+    S6 = build_group("symmetric:6")
+    S6.order()
+    monkeypatch.setattr(psolv.group, "DEFAULT_ENUM_CAP", 48)
+    C = centralizer(S6, g(6, "(1 2)"))
+    assert as_set(C) == centralizer_set(elements_of(S6), elements_of(g(6, "(1 2)")))
+    monkeypatch.setattr(psolv.group, "DEFAULT_ENUM_CAP", 47)
+    with pytest.raises(CapExceeded):
+        centralizer(S6, g(6, "(1 2)"))
+
+
+def test_stabilizer_just_under_the_cap_is_grown():
+    # S8 x C4 on 12 points, order 161,280, centralizes its C4 factor
+    G = g(12, "(1 2)", "(1 2 3 4 5 6 7 8)", "(9 10 11 12)")
+    C = centralizer(G, g(12, "(9 10 11 12)"))
+    assert C.order() == G.order() == 161_280
+    assert all(C.contains(x) for x in G.generators)
+
+
 def _point_stabilizer(G, point):
     return span(G.degree, [x for x in G.elements() if x.images[point] == point])
 
