@@ -20,6 +20,7 @@ from .filtrations import (
     pf_embedded_search,
 )
 from .linear import FpMatrix, LinearAction, unipotency_degree
+from .perm import _make
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
 from .subgroups import normal_subgroups, same_subgroup
 from .theorems import (
@@ -139,20 +140,21 @@ def _linear_action_verdict(G, gid, p, seed):
     except KernelNotElementaryAbelian:
         return None
     rng = random.Random(f"{seed}:{gid}:{p}:linear")
-    els = G.elements()
-    kernel_els = V.elements()
+    # rng.choice draws an index, so rows give the draws elements() would
+    rows = G.element_rows()
+    kernel_rows = V.element_rows()
     I = FpMatrix.identity(p, action.dimension)
     shifted = {}  # T(g) - I, once per element g
     hom_ok = True
     comm_ok = True
     for _ in range(SAMPLE_PAIRS):
-        g = rng.choice(els)
-        h = rng.choice(els)
+        g = _make(rng.choice(rows))
+        h = _make(rng.choice(rows))
         T = action.matrix(g)
         if action.matrix(g * h) != T * action.matrix(h):
             hom_ok = False
             break
-        v = rng.choice(kernel_els)
+        v = _make(rng.choice(kernel_rows))
         lhs = action.coords(v.commutator(g))
         D = shifted.get(g.images)
         if D is None:

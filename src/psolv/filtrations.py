@@ -368,7 +368,7 @@ def _search_table(P: PermutationGroup, p: int, ell: int):
     of N, [N, P], the ell-fold [N, P, ..., P] (N itself when ell = 0) and
     N^p."""
     def mask(H):
-        return element_mask(P, H.elements())
+        return element_mask(P, H.element_rows())
 
     rows = []
     for N in normal_subgroups(P):
@@ -443,7 +443,7 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
     table = _search_table(P, p, ell)
-    start_set = element_mask(P, N.elements())
+    start_set = element_mask(P, N.element_rows())
     start = next((i for i, row in enumerate(table) if row[0] == start_set),
                  None)
     if start is None:

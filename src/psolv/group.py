@@ -180,7 +180,7 @@ class PermutationGroup:
     are kept in `_facts` for the life of the group.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_rows", "_elements", "_facts")
+    __slots__ = ("degree", "generators", "_chain", "_rows", "_facts")
 
     def __init__(self, degree, generators=()):
         if degree < 1:
@@ -200,7 +200,6 @@ class PermutationGroup:
         self.generators = generators
         self._chain = None
         self._rows = None
-        self._elements = None
         self._facts = {}
 
     @property
@@ -240,12 +239,9 @@ class PermutationGroup:
 
     def elements(self) -> list[Permutation]:
         """All elements as Permutations, in the order of element_rows(),
-        wrapped once and cached: each element's images is its row itself.
-        Raises CapExceeded as element_rows() does, on every call."""
-        rows = self.element_rows()
-        if self._elements is None:
-            self._elements = list(map(_make, rows))
-        return self._elements
+        wrapped afresh on each call: each element's images is its cached
+        row itself. Raises CapExceeded as element_rows() does."""
+        return list(map(_make, self.element_rows()))
 
     def __repr__(self):
         gens = ", ".join(g.cycle_string() for g in self.generators[:4])
@@ -335,22 +331,24 @@ def _adjoin_all(rows: set, gens: list, candidates, order: int) -> None:
             _adjoin(rows, gens, x)
 
 
-def span(degree: int, elements, order=None) -> PermutationGroup:
+def span(degree: int, elements) -> PermutationGroup:
     """Group generated by the given elements, with a reduced generator list.
 
     Elements are taken in sorted image order and kept only when they add
     something, so the result is deterministic and its generator count stays
     logarithmic in the group order. The distinct image tuples are sorted as
-    they are, and each is wrapped only when _grow reaches it. When the
-    elements are known to form a subgroup, pass their number as order: the
-    group so far is then kept as its set of rows, grown by _adjoin_all, so
-    membership is a set lookup and one chain is built, for the result; the
-    choice stops once order is reached, and the generators are the same,
-    since every later element lies inside.
+    they are, and each is wrapped only when _grow reaches it.
     """
     rows = sorted({x.images for x in elements})
-    if order is None:
-        return _grow(trivial_group(degree), map(_make, rows))
+    return _grow(trivial_group(degree), map(_make, rows))
+
+
+def _subgroup_of_rows(degree: int, rows) -> PermutationGroup:
+    """The group whose elements are the given images, known to form a
+    subgroup, with span's generators: the group so far is kept as its set
+    of rows, grown by _adjoin_all over the sorted rows up to their number,
+    so membership is a set lookup and one chain is built, for the result."""
+    rows = sorted(set(rows))
     gens = []
-    _adjoin_all({tuple(range(degree))}, gens, rows, order)
+    _adjoin_all({tuple(range(degree))}, gens, rows, len(rows))
     return PermutationGroup(degree, map(_make, gens))

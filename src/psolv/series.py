@@ -234,7 +234,7 @@ def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     target = _p_part(G.order(), p)
     if target == 1:
         return trivial_group(G.degree)
-    # rows are wrapped one at a time, up to the first p-element
+    # here and in the normalizer scans, rows are wrapped one at a time
     seed = None
     for row in G.element_rows():
         y = element_p_part(_make(row), p)
@@ -244,8 +244,8 @@ def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
     S = span(G.degree, [seed])
     while S.order() < target:
         N = normalizer(G, S)
-        for x in N.elements():
-            y = element_p_part(x, p)
+        for row in N.element_rows():
+            y = element_p_part(_make(row), p)
             if not y.is_identity() and not S.contains(y):
                 S = span(G.degree, list(S.generators) + [y])
                 break

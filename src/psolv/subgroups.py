@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
-from .group import PermutationGroup, _adjoin_all, _grow, _orbit, group_fact, span, trivial_group
+from .group import (PermutationGroup, _adjoin_all, _grow, _orbit, _subgroup_of_rows,
+                    group_fact, span, trivial_group)
 from .perm import _conjugator, _gather, _make, _power
 
 # the most work normal_subgroups may do, counted as in its docstring
@@ -147,14 +148,14 @@ def power_subgroup(N: PermutationGroup, q: int) -> PermutationGroup:
 
     The full element set is enumerated: powers of the generators alone
     generate the wrong subgroup in general. Each row of N is raised by
-    perm._power, and only the distinct q-th powers are wrapped for span.
+    perm._power, and _grow takes the distinct q-th powers sorted, as span.
     """
     if q < 1:
         raise ValueError("exponent must be positive")
     if q == 1:
         return N
     powers = {_power(x, q) for x in N.element_rows()}
-    return span(N.degree, map(_make, powers))
+    return _grow(trivial_group(N.degree), map(_make, sorted(powers)))
 
 
 @group_fact
@@ -187,8 +188,8 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
     (group._adjoin_all), until there are |G| / |orbit| rows; running out
     below that raises InternalMismatch, and a stabilizer order above
     DEFAULT_ENUM_CAP raises CapExceeded before anything is adjoined. The
-    result is the span of the rows, so its generators are the greedy
-    choice over them in sorted order."""
+    result is group._subgroup_of_rows of the rows, so its generators are
+    the greedy choice over them in sorted order."""
     one = tuple(range(G.degree))
     gens = [(g.images, g.inverse().images) for g in G.generators]
     transversal, steps = _orbit(one, gens, point, act)
@@ -200,7 +201,7 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
         raise InternalMismatch(
             f"stabilizer order {len(rows)} times orbit length {len(transversal)} "
             f"disagrees with group order {G.order()}")
-    return span(G.degree, map(_make, rows), len(rows))
+    return _subgroup_of_rows(G.degree, rows)
 
 
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
@@ -230,8 +231,8 @@ def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     enumerated when G normalizes H; else the positions of H's rows in
     G.element_rows() are intersected with their images under G's cached
     conjugation action until every generator maps them onto themselves.
-    Only the core's own rows are wrapped as Permutations. ValueError
-    unless H <= G."""
+    The core is built from its rows by group._subgroup_of_rows, which wraps
+    only its generators. ValueError unless H <= G."""
     if not is_subgroup(H, G):
         raise ValueError("subgroup is not contained in the group")
     if _normalizes(G, H):
@@ -241,22 +242,21 @@ def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     last = None
     while k != last:
         last, k = k, k.intersection(*({c[i] for i in k} for c in maps))
-    rows = G.element_rows()
-    return span(G.degree, (_make(rows[i]) for i in k), len(k))
+    return _subgroup_of_rows(G.degree, map(G.element_rows().__getitem__, k))
 
 
 def intersect(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
     """A intersected with B, enumerating the smaller of the two."""
     _check_degrees(A, B)
     small, other = (A, B) if A.order() <= B.order() else (B, A)
-    common = [x for x in small.elements() if other.contains(x)]
-    return span(A.degree, common, len(common))
+    common = [x for x in small.element_rows() if other.contains(_make(x))]
+    return _subgroup_of_rows(A.degree, common)
 
 
 @group_fact
 def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as a tuple of tuples of positions in G.elements()
-    (and G.element_rows()): G.elements()[i] is the member at position i.
+    """Conjugacy classes as a tuple of tuples of positions in
+    G.element_rows(), which G.elements() wraps in the same order.
 
     The classes are the orbits of G's cached conjugation action on element
     positions, walked from the first unseen position. Each class is headed
@@ -284,16 +284,16 @@ def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def element_mask(G: PermutationGroup, elements) -> int:
-    """A set of elements of G as an int: bit i stands for G.elements()[i].
+def element_mask(G: PermutationGroup, rows) -> int:
+    """A set of G's rows as an int: bit i stands for G.element_rows()[i].
 
     Containment is `a & ~b == 0` and the set size is the popcount. Every
-    element must lie in G.
+    row must be one of G's.
     """
     positions = _element_positions(G)
     mask = 0
-    for x in elements:
-        mask |= 1 << positions[x.images]
+    for x in rows:
+        mask |= 1 << positions[x]
     return mask
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .group import PermutationGroup
+from .perm import Permutation
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -59,10 +62,6 @@ def payload_value(x):
     Groups become their order plus generator image lists, permutations their
     image list, so emitted reports are deterministic and self-contained.
     """
-    # local imports keep this module free of import cycles
-    from .perm import Permutation
-    from .group import PermutationGroup
-
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
     if isinstance(x, Permutation):

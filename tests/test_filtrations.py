@@ -338,10 +338,10 @@ def test_searches_share_one_mask_table(monkeypatch):
     calls = 0
     real = psolv.filtrations.element_mask
 
-    def counted(G, elements):
+    def counted(G, rows):
         nonlocal calls
         calls += 1
-        return real(G, elements)
+        return real(G, rows)
 
     monkeypatch.setattr(psolv.filtrations, "element_mask", counted)
     P = sylow(build_group("wreath_cyclic:2:4"), 2)
@@ -351,6 +351,24 @@ def test_searches_share_one_mask_table(monkeypatch):
         pf_embedded_search(P, 2, N, 1)
     # four masks per lattice member, built once, plus one per start
     assert calls <= 5 * len(normals)
+
+
+def test_searches_wrap_no_element_list(monkeypatch):
+    # the mask table and each start mask are read from rows: once the
+    # lattice is cached, no search asks a group for its Permutations
+    import psolv.filtrations
+    P = build_group("extraspecial:5:plus")
+    normals = normal_subgroups(P)
+
+    def refuse(self):
+        raise AssertionError("a group was enumerated as Permutations")
+
+    monkeypatch.setattr(PermutationGroup, "elements", refuse)
+    for ell in (0, 1, 2):
+        assert len(psolv.filtrations._search_table(P, 5, ell)) == len(normals)
+    for N in normals:
+        assert pf_embedded_search(P, 5, N, 1).status in (
+            SearchOutcome.FOUND, SearchOutcome.NOT_PF_EMBEDDED)
 
 
 def test_facts_and_searches_leave_no_reference_cycle():

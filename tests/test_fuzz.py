@@ -9,7 +9,8 @@ large gets built. Drawn groups also check that the conjugate-product
 refusal in the class-closure cores changes no core, that the cached
 power subgroups keep the generators of the product-built route, and that
 the hoisted conjugators of the normality test and the normal closure
-keep the answers of conjugation one pair at a time.
+keep the answers of conjugation one pair at a time, and that a subgroup
+built from its rows gets span's generators.
 """
 
 import pytest
@@ -30,7 +31,7 @@ import psolv.cli as cli
 import psolv.series
 from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
-from psolv.group import PermutationGroup, _grow, trivial_group
+from psolv.group import PermutationGroup, _grow, _subgroup_of_rows, span, trivial_group
 from psolv.perm import Permutation
 from psolv.subgroups import _normalizes, normal_closure, power_subgroup
 
@@ -269,6 +270,32 @@ def test_power_subgroups_keep_the_product_route(G, q):
     assert got.generators == want.generators
     assert power_subgroup(G, q) is got
     assert power_subgroup(G, 1) is G
+
+
+# --- subgroups from rows ---------------------------------------------------
+
+@st.composite
+def subgroup_pairs(draw):
+    # G, and H spanned from up to three drawn elements of G
+    G = draw(permutation_groups())
+    els = G.elements()
+    picks = draw(st.lists(st.integers(0, len(els) - 1), max_size=3))
+    return G, span(G.degree, [els[i] for i in picks])
+
+
+@SETTINGS
+@given(pair=subgroup_pairs())
+def test_subgroups_from_rows_keep_the_span(pair):
+    # the rows of a subgroup, in any order and with repeats, give the
+    # generators and the order of span over its elements: what lets the
+    # stabilizers, the normal core and intersect skip span
+    G, H = pair
+    want = span(G.degree, H.elements())
+    rows = H.element_rows()
+    for given_rows in (rows, rows[::-1] + rows):
+        got = _subgroup_of_rows(G.degree, given_rows)
+        assert got.generators == want.generators
+        assert got.order() == want.order() == len(rows)
 
 
 # --- conjugation kernels ----------------------------------------------------

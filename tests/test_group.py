@@ -42,11 +42,17 @@ def test_contains_rejects_wrong_degree():
 
 
 def test_elements_cached_and_complete():
+    # the rows are cached; the Permutations are wrapped afresh on each
+    # call, each holding its cached row itself
     D8 = g(4, "(1 2 3 4)", "(1 3)")
     els = D8.elements()
     assert len(els) == 8
     assert set(els) == set(elements_of(D8))
-    assert D8.elements() is els
+    again = D8.elements()
+    assert again == els and again is not els
+    rows = D8.element_rows()
+    assert D8.element_rows() is rows
+    assert all(x.images is row for x, row in zip(again, rows))
 
 
 def test_enumeration_leaves_no_reference_cycle():

@@ -475,11 +475,11 @@ def test_normal_subgroups_against_class_union_oracle(G, count):
 
 
 def test_element_mask():
-    els = S4.elements()
-    assert element_mask(S4, els) == (1 << 24) - 1
-    assert element_mask(S4, [els[5], els[2], els[5]]) == (1 << 5) | (1 << 2)
-    v = element_mask(S4, V4.elements())
-    a = element_mask(S4, A4.elements())
+    rows = S4.element_rows()
+    assert element_mask(S4, rows) == (1 << 24) - 1
+    assert element_mask(S4, [rows[5], rows[2], rows[5]]) == (1 << 5) | (1 << 2)
+    v = element_mask(S4, V4.element_rows())
+    a = element_mask(S4, A4.element_rows())
     assert v.bit_count() == 4
     assert v & ~a == 0 and a & ~v != 0
 
