@@ -20,7 +20,6 @@ from .filtrations import (
     pf_embedded_search,
 )
 from .linear import FpMatrix, LinearAction, unipotency_degree
-from .perm import _make
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
 from .subgroups import normal_subgroups, same_subgroup
 from .theorems import (
@@ -140,21 +139,22 @@ def _linear_action_verdict(G, gid, p, seed):
     except KernelNotElementaryAbelian:
         return None
     rng = random.Random(f"{seed}:{gid}:{p}:linear")
-    # rng.choice draws an index, so rows give the draws elements() would
-    rows = G.element_rows()
-    kernel_rows = V.element_rows()
+    # G has at most LINEAR_GROUP_LIMIT elements, so each is wrapped once
+    # and rng.choice draws from a list
+    els = G.elements()
+    kernel = V.elements()
     I = FpMatrix.identity(p, action.dimension)
     shifted = {}  # T(g) - I, once per element g
     hom_ok = True
     comm_ok = True
     for _ in range(SAMPLE_PAIRS):
-        g = _make(rng.choice(rows))
-        h = _make(rng.choice(rows))
+        g = rng.choice(els)
+        h = rng.choice(els)
         T = action.matrix(g)
         if action.matrix(g * h) != T * action.matrix(h):
             hom_ok = False
             break
-        v = _make(rng.choice(kernel_rows))
+        v = rng.choice(kernel)
         lhs = action.coords(v.commutator(g))
         D = shifted.get(g.images)
         if D is None:

@@ -380,10 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A command's live tables (S8's 40,320 elements) are what the cyclic
-    # collector would scan; the garbage it would find is a few hundred
-    # objects from argparse and json whatever the group, so it is paused
-    # while the handler runs and the caller's setting is put back after.
+    # A command's live containers (S8's conjugation maps and classes,
+    # 40,320 positions each) are what the cyclic collector would scan;
+    # the garbage it would find is a few hundred objects from argparse and
+    # json whatever the group, so it is paused while the handler runs and
+    # the caller's setting is put back after.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -9,6 +9,7 @@ same chain, the same enumeration order and the same sampling.
 from __future__ import annotations
 
 import functools
+from array import array
 
 from .errors import CapExceeded, DegreeMismatch
 from .perm import Permutation, _gather, _make
@@ -16,8 +17,10 @@ from .perm import Permutation, _gather, _make
 DEFAULT_ENUM_CAP = 200_000
 # the most points a group may act on: one stabilizer-chain level stores up
 # to `degree` transversal tuples of `degree` points each, and the element
-# table (StabilizerChain.element_table) holds each point in one byte
+# table (StabilizerChain.element_table) and the packed keys (_pack) hold
+# each point in one byte
 MAX_DEGREE = 256
+_LANE = 8  # base images packed into one 8-byte key lane (_pack)
 _SELF = object()  # kept in G._facts for a group_fact value that is G itself
 
 
@@ -62,7 +65,7 @@ class StabilizerChain:
     strong generators assigned to levels >= i (those fixing b_0..b_{i-1}).
     """
 
-    __slots__ = ("degree", "levels", "one")
+    __slots__ = ("degree", "levels", "one", "base")
 
     def __init__(self, degree, generators):
         self.degree = degree
@@ -75,6 +78,9 @@ class StabilizerChain:
             if residue != self.one:
                 self._add_generator(j, residue)
         self._close()
+        # the base points, one per level: an element is fixed by its
+        # images of them (Handbook, Holt-Eick-O'Brien, 4.4)
+        self.base = tuple(lv.point for lv in self.levels)
 
     def _gens_at(self, i):
         out = []
@@ -164,11 +170,65 @@ class StabilizerChain:
             table = b"".join([table.translate(t) for t in ts])
         return table
 
-    def iter_elements(self) -> list[tuple]:
+    def iter_elements(self) -> ElementRows:
         """The image tuple of every element exactly once, in a fixed order
-        determined by the chain: the rows of element_table, read by zip
-        from degree copies of one iterator. No Permutation is built."""
-        return list(zip(*[iter(self.element_table())] * self.degree))
+        determined by the chain: the rows of element_table, each built
+        only when it is read. No Permutation is built."""
+        return ElementRows(self.element_table(), self.degree)
+
+
+class ElementRows:
+    """A read-only sequence over an element table (element_table): row i
+    is the image tuple of the element at position i, built when it is
+    read, by index or by iteration; no row is kept."""
+
+    __slots__ = ("table", "degree")
+
+    def __init__(self, table: bytes, degree: int):
+        self.table = table
+        self.degree = degree
+
+    def __len__(self):
+        return len(self.table) // self.degree
+
+    def __getitem__(self, i):
+        n = len(self.table) // self.degree
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("element row index out of range")
+        d = self.degree
+        return tuple(self.table[i * d:i * d + d])
+
+    def __iter__(self):
+        # zip reads degree bytes at a time from one iterator
+        return zip(*[iter(self.table)] * self.degree)
+
+
+def _pack(columns, count):
+    """One key per element of a table, from its base-point columns:
+    columns[j] holds, at byte i, the image of the j-th base point under
+    the i-th element, for count elements. Up to 8 columns are interleaved
+    into one 8-byte lane per element by C-level slice assignment and read
+    as unsigned ints, so the key is an int for a base of at most 8 points
+    (0 for an empty base), and a tuple of the lanes of each 8 columns for
+    a longer one. A single row packs as a table of one element."""
+    if len(columns) > _LANE:
+        return list(zip(*(_pack(columns[s:s + _LANE], count)
+                          for s in range(0, len(columns), _LANE))))
+    lane = bytearray(_LANE * count)
+    for j, col in enumerate(columns):
+        lane[j::_LANE] = col
+    return array("Q", lane)
+
+
+def _row_keys(G, rows):
+    """The _pack keys of the given rows, elements of G's degree, at G's
+    base: an ElementRows is read through its table, any other rows are
+    joined into one first."""
+    table = rows.table if isinstance(rows, ElementRows) else b"".join(map(bytes, rows))
+    n = G.degree
+    return _pack([table[b::n] for b in G.chain.base], len(table) // n)
 
 
 class PermutationGroup:
@@ -221,10 +281,12 @@ class PermutationGroup:
             )
         return self.chain.contains(g)
 
-    def element_rows(self) -> list[tuple]:
+    def element_rows(self) -> ElementRows:
         """The image tuples of all elements in deterministic chain order,
-        enumerated once and cached: the group's one element list, which
-        positions, the conjugation action and the classes are read from.
+        as one read-only sequence over the chain's element table, built
+        once and cached: the group's one stored form of its elements,
+        which positions, the conjugation action and the classes are read
+        from. A row tuple is built only when it is read.
 
         Raises CapExceeded before enumerating anything when order() >
         DEFAULT_ENUM_CAP.
@@ -239,8 +301,8 @@ class PermutationGroup:
 
     def elements(self) -> list[Permutation]:
         """All elements as Permutations, in the order of element_rows(),
-        wrapped afresh on each call: each element's images is its cached
-        row itself. Raises CapExceeded as element_rows() does."""
+        wrapped afresh on each call, each around a row read from the
+        table. Raises CapExceeded as element_rows() does."""
         return list(map(_make, self.element_rows()))
 
     def __repr__(self):

@@ -9,10 +9,12 @@ mutual generator membership, never equal generator lists.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import or_
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
-from .group import (PermutationGroup, _adjoin_all, _grow, _orbit, _subgroup_of_rows,
-                    group_fact, span, trivial_group)
+from .group import (PermutationGroup, _adjoin_all, _grow, _orbit, _pack, _row_keys,
+                    _subgroup_of_rows, group_fact, span, trivial_group)
 from .perm import _conjugator, _gather, _make, _power
 
 # the most work normal_subgroups may do, counted as in its docstring
@@ -26,10 +28,16 @@ def _check_degrees(*groups):
 
 
 @group_fact
-def _element_positions(G: PermutationGroup) -> dict:
-    """Each row of G.element_rows() keyed to its position."""
-    rows = G.element_rows()
-    return dict(zip(rows, range(len(rows))))
+def _element_index(G: PermutationGroup) -> dict:
+    """Each element's position in G.element_rows(), keyed by its base
+    images as group._row_keys packs them, read from the element table."""
+    return dict(zip(_row_keys(G, G.element_rows()), range(G.order())))
+
+
+def _positions(G: PermutationGroup, rows):
+    """The positions in G.element_rows() of the given rows, each one of
+    G's, in the order given, through _element_index."""
+    return map(_element_index(G).__getitem__, _row_keys(G, rows))
 
 
 def is_subgroup(A: PermutationGroup, B: PermutationGroup) -> bool:
@@ -164,19 +172,20 @@ def _conjugation_action(G: PermutationGroup) -> tuple:
     G.element_rows() of g^-1 * x * g, for x the element at position i.
     Lists, not arrays: reading an entry boxes no int.
 
-    The conjugates are built a column at a time from the chain's
-    element_table, which iter_elements reads the rows from: g^-1 * x * g
-    has images g[x[g^-1[b]]], so with the table translated through g's
-    images, its column b is the translated column g^-1[b], one strided
-    slice. The conjugates' image tuples are the rows of those columns,
-    read by zip and looked up in _element_positions."""
-    table = G.chain.element_table()
+    The conjugates' keys in _element_index are packed from their base
+    columns, cut from G's element table without forming an image tuple:
+    g^-1 * x * g has images g[x[g^-1[b]]], so its column b is the table
+    column g^-1[b], one strided slice, translated through g's images."""
+    table = G.element_rows().table
     n = G.degree
-    lookup = _element_positions(G).__getitem__
+    base = G.chain.base
+    lookup = _element_index(G).__getitem__
     maps = []
     for g in G.generators:
-        moved = table.translate(bytes(g.images).ljust(256, b"\0"))
-        maps.append(list(map(lookup, zip(*[moved[a::n] for a in g.inverse().images]))))
+        by_g = bytes(g.images).ljust(256, b"\0")
+        g_inv = g.inverse().images
+        columns = [table[g_inv[b]::n].translate(by_g) for b in base]
+        maps.append(list(map(lookup, _pack(columns, G.order()))))
     return tuple(maps)
 
 
@@ -207,13 +216,13 @@ def _stabilizer(G: PermutationGroup, seed: PermutationGroup, point, act) -> Perm
 def normalizer(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """N_G(H), the stabilizer of H under conjugation by G, grown from H. A
     conjugate is keyed by its sorted positions in G.element_rows(), the
-    key of H read from H's rows; a generator moves a key by one gather
-    from its list in G's cached conjugation action. Raises ValueError
-    unless H <= G."""
+    key of H found from H's element table by _positions; a generator
+    moves a key by one gather from its list in G's cached conjugation
+    action. Raises ValueError unless H <= G."""
     if not is_subgroup(H, G):
         raise ValueError("subgroup is not contained in the group")
     maps = _conjugation_action(G)
-    key = tuple(sorted(map(_element_positions(G).__getitem__, H.element_rows())))
+    key = tuple(sorted(_positions(G, H.element_rows())))
     return _stabilizer(G, H, key, lambda k, i: tuple(sorted(_gather(k)(maps[i]))))
 
 
@@ -229,8 +238,9 @@ def centralizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
 def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """The largest normal subgroup of G inside H, returned before anything is
     enumerated when G normalizes H; else the positions of H's rows in
-    G.element_rows() are intersected with their images under G's cached
-    conjugation action until every generator maps them onto themselves.
+    G.element_rows(), found from H's element table by _positions, are
+    intersected with their images under G's cached conjugation action
+    until every generator maps them onto themselves.
     The core is built from its rows by group._subgroup_of_rows, which wraps
     only its generators. ValueError unless H <= G."""
     if not is_subgroup(H, G):
@@ -238,7 +248,7 @@ def normal_core(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     if _normalizes(G, H):
         return H
     maps = _conjugation_action(G)
-    k = set(map(_element_positions(G).__getitem__, H.element_rows()))
+    k = set(_positions(G, H.element_rows()))
     last = None
     while k != last:
         last, k = k, k.intersection(*({c[i] for i in k} for c in maps))
@@ -262,8 +272,8 @@ def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[int, ...], ...]:
     positions, walked from the first unseen position. Each class is headed
     by its first element in enumeration order and lists the rest in the
     order conjugation by the generators reaches them. Cached on G; no
-    element is wrapped as a Permutation, so a caller wraps the rows it
-    reads.
+    row is read and no element is wrapped as a Permutation, so a caller
+    reads, by index, only the rows it needs, such as the class heads.
     """
     maps = _conjugation_action(G)
     n = G.order()
@@ -288,13 +298,10 @@ def element_mask(G: PermutationGroup, rows) -> int:
     """A set of G's rows as an int: bit i stands for G.element_rows()[i].
 
     Containment is `a & ~b == 0` and the set size is the popcount. Every
-    row must be one of G's.
+    row must be one of G's. Positions are found by _positions, so a
+    group's element_rows() is read through its table, with no row built.
     """
-    positions = _element_positions(G)
-    mask = 0
-    for x in rows:
-        mask |= 1 << positions[x]
-    return mask
+    return reduce(or_, map((1).__lshift__, _positions(G, rows)), 0)
 
 
 @group_fact
@@ -324,8 +331,7 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
     if ((n - 1) * n > LATTICE_WORK_LIMIT
             and all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])):
         raise CapExceeded(overflow)
-    positions = _element_positions(G)
-    e = positions[tuple(range(G.degree))]
+    e, = _positions(G, [tuple(range(G.degree))])
     classes = [cls for cls in conjugacy_classes(G) if cls[0] != e]
     # the trivial group alone is closed by every class, at |G| units each;
     # refusing here spares the class masks, |G| bits per class
@@ -333,8 +339,10 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
         raise CapExceeded(overflow)
     # positions are distinct, so each sum of bits is their union
     class_masks = [sum(1 << i for i in cls) for cls in classes]
-    # close and span take elements, so the classes are wrapped from here on
+    # close and span take elements, so the classes are wrapped from here on,
+    # and close looks its products up by their images
     els = G.elements()
+    positions = {x.images: i for i, x in enumerate(els)}
     classes = [[els[i] for i in cls] for cls in classes]
     work = 0
 

@@ -33,7 +33,8 @@ from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
 from psolv.group import PermutationGroup, _grow, _subgroup_of_rows, span, trivial_group
 from psolv.perm import Permutation
-from psolv.subgroups import _normalizes, normal_closure, power_subgroup
+from psolv.subgroups import (_conjugation_action, _normalizes, element_mask, normal_closure,
+                             power_subgroup)
 
 from oracles import power_by_products
 
@@ -292,7 +293,8 @@ def test_subgroups_from_rows_keep_the_span(pair):
     G, H = pair
     want = span(G.degree, H.elements())
     rows = H.element_rows()
-    for given_rows in (rows, rows[::-1] + rows):
+    listed = list(rows)
+    for given_rows in (rows, listed[::-1] + listed):
         got = _subgroup_of_rows(G.degree, given_rows)
         assert got.generators == want.generators
         assert got.order() == want.order() == len(rows)
@@ -311,6 +313,22 @@ def group_pairs(draw):
         st.integers(0, len(els) - 1).map(lambda i: list(els[i].images))),
         max_size=3))
     return G, PermutationGroup(G.degree, [Permutation(x) for x in gens])
+
+
+@SETTINGS
+@given(G=permutation_groups())
+def test_conjugation_action_is_a_scan_for_each_conjugate(G):
+    # each entry of the action, looked up through the packed base-image
+    # keys, is the position a scan of the elements finds for the conjugate
+    # made by Permutation.conjugate
+    els = G.elements()
+    scan = {x.images: i for i, x in enumerate(els)}
+    maps = _conjugation_action(G)
+    assert len(maps) == len(G.generators)
+    for g, action in zip(G.generators, maps):
+        assert action == [scan[x.conjugate(g).images] for x in els]
+    for i, x in enumerate(els):
+        assert element_mask(G, [x.images]) == 1 << i
 
 
 def _normalizes_by_conjugate(H, N):

@@ -42,8 +42,9 @@ def test_contains_rejects_wrong_degree():
 
 
 def test_elements_cached_and_complete():
-    # the rows are cached; the Permutations are wrapped afresh on each
-    # call, each holding its cached row itself
+    # the rows are cached as one sequence over the element table; the
+    # Permutations are wrapped afresh on each call, each around a row
+    # read from the table, so no row tuple is kept between reads
     D8 = g(4, "(1 2 3 4)", "(1 3)")
     els = D8.elements()
     assert len(els) == 8
@@ -52,7 +53,8 @@ def test_elements_cached_and_complete():
     assert again == els and again is not els
     rows = D8.element_rows()
     assert D8.element_rows() is rows
-    assert all(x.images is row for x, row in zip(again, rows))
+    assert [x.images for x in again] == list(rows)
+    assert rows[1] == rows[1] and rows[1] is not rows[1]
 
 
 def test_enumeration_leaves_no_reference_cycle():

@@ -4,10 +4,12 @@ The orbit walk group._orbit, StabilizerChain (its orbits, sift and Schreier
 test), its element table, the conjugation action and subgroups._stabilizer
 build their elements through perm._gather or bytes.translate, powers go
 through perm._power, and conjugates and commutators are gather chains, not
-Permutation.__mul__. These tests rebuild each of them with products and
+Permutation.__mul__, and element positions are keyed by packed base
+images (group._pack). These tests rebuild each of them with products and
 inverses, on fixed groups from degree 1 up and on small groups drawn at
 random, and check that the walks, the chains, the order of the elements,
-the action and the normalizer and centralizer built on it all agree.
+the positions, the action and the normalizer and centralizer built on it
+all agree.
 """
 
 import random
@@ -17,11 +19,10 @@ import pytest
 
 from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import DegreeMismatch
-from psolv.group import PermutationGroup, _orbit, span, trivial_group
-from psolv.perm import Permutation, _conjugator, _gather, _make, _power, identity
-from psolv.subgroups import (_conjugation_action,
-                             _element_positions, centralizer, normalizer,
-                             same_subgroup)
+from psolv.group import ElementRows, PermutationGroup, _orbit, _pack, span, trivial_group
+from psolv.perm import Permutation, _conjugator, _gather, _make, _power, from_cycles, identity
+from psolv.subgroups import (_conjugation_action, _element_index, centralizer,
+                             element_mask, normalizer, same_subgroup)
 
 from oracles import centralizer_set, normalizer_set
 
@@ -131,22 +132,87 @@ def test_element_columns_of_catalog_groups(recipe):
     _check_element_table(build_group(recipe).chain)
 
 
+def _scan_positions(G):
+    # each element's position, found by a scan of G.elements() rather than
+    # through the packed index
+    return {x.images: i for i, x in enumerate(G.elements())}
+
+
 @pytest.mark.parametrize("recipe", DEFAULT_CATALOG)
 def test_elements_wrap_the_rows_themselves(recipe):
+    # the rows are read from the table, so each read builds a new tuple:
+    # an element's images equal its row, as a tuple of ints
     G = build_group(recipe)
     rows = G.element_rows()
     assert rows is G.element_rows()
-    assert [x.images for x in G.elements()] == rows
-    assert all(x.images is row for x, row in zip(G.elements(), rows))
+    assert [x.images for x in G.elements()] == list(rows)
+    assert all(type(x.images) is tuple and x.images == row
+               and all(type(i) is int for i in row)
+               for x, row in zip(G.elements(), rows))
+
+
+def test_element_rows_are_a_sequence_over_the_table(G):
+    rows = G.element_rows()
+    assert type(rows) is ElementRows and rows is G.element_rows()
+    assert rows.table == G.chain.element_table()
+    want = [x.images for x in _products(G.chain)]
+    assert len(rows) == len(want) == G.order()
+    assert list(rows) == list(G.chain.iter_elements()) == want
+    assert [rows[i] for i in range(len(rows))] == want
+    assert [rows[-i] for i in range(1, len(rows) + 1)] == want[::-1]
+    for i in (len(rows), len(rows) + 5, -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert list(reversed(rows)) == want[::-1]
+    assert want[-1] in rows
+    # random.choice draws an index from len, so the draws are those of
+    # the same rows in a list
+    for seed in range(5):
+        drawn, listed = random.Random(seed), random.Random(seed)
+        assert [drawn.choice(rows) for _ in range(20)] == \
+            [listed.choice(want) for _ in range(20)]
+
+
+def _check_index(G):
+    # every element keyed to its position, and every conjugate's position
+    # in the action, against scans of G.elements()
+    positions = _scan_positions(G)
+    assert sorted(_element_index(G).values()) == list(range(G.order()))
+    assert element_mask(G, G.element_rows()) == (1 << G.order()) - 1
+    for row, i in positions.items():
+        assert element_mask(G, [row]) == 1 << i
+    els = G.elements()
+    for g, action in zip(G.generators, _conjugation_action(G)):
+        assert action == [positions[x.conjugate(g).images] for x in els]
 
 
 def test_conjugation_action_matches_conjugate(G):
-    els = G.elements()
-    positions = _element_positions(G)
-    maps = _conjugation_action(G)
-    assert len(maps) == len(G.generators)
-    for g, action in zip(G.generators, maps):
-        assert list(action) == [positions[x.conjugate(g).images] for x in els]
+    assert len(_conjugation_action(G)) == len(G.generators)
+    _check_index(G)
+
+
+def test_keys_past_one_lane():
+    # C2 wr C9 on 18 points: nine base points, so each key is a tuple of
+    # two 8-byte lanes
+    pairs = from_cycles(18, [tuple(range(0, 18, 2)), tuple(range(1, 18, 2))])
+    G = PermutationGroup(18, [from_cycles(18, [(0, 1)]), pairs])
+    assert G.order() == 2 ** 9 * 9
+    assert len(G.chain.base) > 8
+    keys = _pack([G.element_rows().table[b::18] for b in G.chain.base], G.order())
+    assert all(type(k) is tuple and len(k) == 2 for k in keys)
+    assert len(set(keys)) == G.order()
+    _check_index(G)
+
+
+@pytest.mark.parametrize("degree", [1, 5])
+def test_keys_of_an_empty_base(degree):
+    # the trivial group has no base point: its one element keys to 0
+    for G in (trivial_group(degree), PermutationGroup(degree, [identity(degree)])):
+        assert G.chain.base == ()
+        assert list(_pack([], 1)) == [0]
+        assert _element_index(G) == {0: 0}
+        assert _conjugation_action(G) == tuple([0] for _ in G.generators)
+        assert element_mask(G, [tuple(range(degree))]) == 1
 
 
 def test_centralizer_matches_a_scan_of_the_elements(G):
@@ -303,7 +369,7 @@ def _conjugate_keys(G):
     # normalizer's action: a conjugate H^x keyed by the sorted positions of
     # its elements in G.elements(), with H generated by G's last generator
     H = PermutationGroup(G.degree, G.generators[-1:])
-    positions = _element_positions(G)
+    positions = _scan_positions(G)
     maps = _conjugation_action(G)
 
     def key(x):
