@@ -19,7 +19,7 @@ from .filtrations import (
     exhaustive_lattice,
     pf_embedded_search,
 )
-from .linear import FpMatrix, LinearAction, unipotency_degree
+from .linear import LinearAction, sample_identities, unipotency_degree
 from .series import is_p_solvable, o_p, o_pprime, require_prime, sylow
 from .subgroups import normal_subgroups, same_subgroup
 from .theorems import (
@@ -130,7 +130,11 @@ def _linear_action_verdict(G, gid, p, seed):
     """Sample-check that conjugation on an elementary abelian p-core is a
     matrix representation: multiplicativity, the commutator identity, and
     unipotency of the Sylow generators' images. These are all proved facts,
-    so a failed conclusion means a bug worth reporting loudly."""
+    so a failed conclusion means a bug worth reporting loudly.
+
+    The SAMPLE_PAIRS samples are drawn from the element rows of G and of
+    the core and checked by linear.sample_identities, on packed F_p rows
+    and image tuples; only the unipotency degrees read FpMatrix values."""
     V = o_p(G, p)
     if V.is_trivial():
         return None
@@ -139,30 +143,7 @@ def _linear_action_verdict(G, gid, p, seed):
     except KernelNotElementaryAbelian:
         return None
     rng = random.Random(f"{seed}:{gid}:{p}:linear")
-    # G has at most LINEAR_GROUP_LIMIT elements, so each is wrapped once
-    # and rng.choice draws from a list
-    els = G.elements()
-    kernel = V.elements()
-    I = FpMatrix.identity(p, action.dimension)
-    shifted = {}  # T(g) - I, once per element g
-    hom_ok = True
-    comm_ok = True
-    for _ in range(SAMPLE_PAIRS):
-        g = rng.choice(els)
-        h = rng.choice(els)
-        T = action.matrix(g)
-        if action.matrix(g * h) != T * action.matrix(h):
-            hom_ok = False
-            break
-        v = rng.choice(kernel)
-        lhs = action.coords(v.commutator(g))
-        D = shifted.get(g.images)
-        if D is None:
-            D = shifted[g.images] = T - I
-        rhs = D.row_apply(action.coords(v))
-        if lhs != rhs:
-            comm_ok = False
-            break
+    hom_ok, comm_ok = sample_identities(action, rng, SAMPLE_PAIRS)
     P = sylow(G, p)
     degrees = [unipotency_degree(action.matrix(g)) for g in P.generators]
     unipotent_ok = all(d is not None for d in degrees)

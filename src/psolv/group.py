@@ -302,7 +302,9 @@ class PermutationGroup:
     def elements(self) -> list[Permutation]:
         """All elements as Permutations, in the order of element_rows(),
         wrapped afresh on each call, each around a row read from the
-        table. Raises CapExceeded as element_rows() does."""
+        table. Raises CapExceeded as element_rows() does. Inside the
+        engine only normal_subgroups calls it, since it multiplies
+        elements as it closes class unions."""
         return list(map(_make, self.element_rows()))
 
     def __repr__(self):

@@ -10,7 +10,8 @@ refusal in the class-closure cores changes no core, that the cached
 power subgroups keep the generators of the product-built route, and that
 the hoisted conjugators of the normality test and the normal closure
 keep the answers of conjugation one pair at a time, and that a subgroup
-built from its rows gets span's generators.
+built from its rows gets span's generators. Drawn F_p matrices check the
+packed rows of psolv.linear against FpMatrix arithmetic.
 """
 
 import pytest
@@ -32,6 +33,7 @@ import psolv.series
 from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
 from psolv.group import PermutationGroup, _grow, _subgroup_of_rows, span, trivial_group
+from psolv.linear import FpMatrix, _Lanes
 from psolv.perm import Permutation
 from psolv.subgroups import (_conjugation_action, _normalizes, element_mask, normal_closure,
                              power_subgroup)
@@ -359,3 +361,43 @@ def test_hoisted_conjugators_keep_the_conjugate_route(pair):
     assert _normalizes(N, G) == _normalizes_by_conjugate(N, G)
     assert (normal_closure(G, N).generators
             == _normal_closure_by_conjugate(G, N).generators)
+
+
+# --- packed F_p rows -------------------------------------------------------
+
+# every (p, d) with p^d <= 500, the largest kernel LINEAR_GROUP_LIMIT admits
+PACKED_SHAPES = [(p, d) for p in (2, 3, 5, 7) for d in range(9) if p ** d <= 500]
+
+
+@st.composite
+def fp_cases(draw):
+    # (p, A, B, v): two d x d matrices and a row vector over F_p
+    p, d = draw(st.sampled_from(PACKED_SHAPES))
+    entries = st.integers(0, p - 1)
+    square = st.lists(st.lists(entries, min_size=d, max_size=d).map(tuple),
+                      min_size=d, max_size=d).map(tuple)
+    v = draw(st.lists(entries, min_size=d, max_size=d).map(tuple))
+    return p, draw(square), draw(square), v
+
+
+def _with_full_matrices(test):
+    # every entry p - 1, the largest lane sums, at every shape
+    for p, d in PACKED_SHAPES:
+        full = ((p - 1,) * d,) * d
+        test = example(case=(p, full, full, (p - 1,) * d))(test)
+    return test
+
+
+@SETTINGS
+@_with_full_matrices
+@given(case=fp_cases())
+def test_packed_rows_match_fp_matrices(case):
+    p, a, b, v = case
+    A, B = FpMatrix(p, a), FpMatrix(p, b)
+    lanes = _Lanes(p, len(v))
+    pA, pB = (tuple(lanes.multiples(lanes.pack(row)) for row in M)
+              for M in (a, b))
+    assert tuple(map(lanes.unpack, lanes.product(pA, pB))) == (A * B).rows
+    assert lanes.unpack(lanes.times(lanes.pack(v), pB)) == B.row_apply(v)
+    assert (lanes.unpack_matrix(lanes.minus_identity(pA))
+            == A - FpMatrix.identity(p, len(v)))

@@ -1,5 +1,7 @@
 import pytest
 
+from psolv.battery import _linear_action_verdict
+from psolv.catalog import build_group
 from psolv.errors import (
     DegreeMismatch,
     KernelNotElementaryAbelian,
@@ -165,3 +167,51 @@ def test_odd_prime_action():
     T = A.matrix(parse_cycles("(1 2)", 3))
     assert T.rows == ((2,),)
     assert T * T == FpMatrix.identity(3, 1)
+
+
+# --- the battery's sample check can fail -----------------------------------
+
+FAULT_GROUPS = [("symmetric:4", 2), ("symmetric:3", 3)]
+
+
+def _verdict(gid, p):
+    return _linear_action_verdict(build_group(gid), gid, p, 0)
+
+
+@pytest.mark.parametrize("gid, p", FAULT_GROUPS)
+def test_a_corrupted_matrix_breaks_multiplicativity(monkeypatch, gid, p):
+    # one element's packed T(g) gains 1 in its first entry
+    build = LinearAction._element_facts
+    target = build_group(gid).element_rows()[1]
+
+    def corrupted(self, g):
+        T, D, conj = build(self, g)
+        if g == target:
+            lanes = self._lanes
+            T = (lanes.multiples(lanes.add(T[0][1], 1)),) + T[1:]
+        return T, D, conj
+
+    monkeypatch.setattr(LinearAction, "_element_facts", corrupted)
+    v = _verdict(gid, p)
+    assert v.parameters["multiplicative"] is False
+    assert v.parameters["commutator_identity"] is True
+    assert v.conclusion_holds is False
+
+
+@pytest.mark.parametrize("gid, p", FAULT_GROUPS)
+def test_a_corrupted_coordinate_breaks_the_commutator_identity(
+        monkeypatch, gid, p):
+    # the kernel identity's coordinates become e_1; no T(g) reads them,
+    # since a basis vector's conjugates are never the identity
+    init = LinearAction.__init__
+
+    def corrupted(self, G, V, p):
+        init(self, G, V, p)
+        self._coords[tuple(range(V.degree))] = self._lanes.pack(
+            (1,) + (0,) * (self.dimension - 1))
+
+    monkeypatch.setattr(LinearAction, "__init__", corrupted)
+    v = _verdict(gid, p)
+    assert v.parameters["multiplicative"] is True
+    assert v.parameters["commutator_identity"] is False
+    assert v.conclusion_holds is False
