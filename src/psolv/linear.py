@@ -9,9 +9,11 @@ identity coords([v, g]) = coords(v) * (T(g) - I) holds.
 
 Inside, an F_p vector is one int with a lane of bits per coordinate
 (_Lanes), and an element is its image tuple. sample_identities checks
-both identities on sampled elements in that form, building no
-Permutation, no FpMatrix and no row tuple; matrix(g) unpacks an
-element's packed T(g) into an FpMatrix for every other caller.
+both identities on sampled elements in that form: a sample builds no
+Permutation, no FpMatrix and no coordinate tuple, and a Permutation is
+made only once per distinct element, to sift it into G or to invert a
+kernel element. matrix(g) unpacks an element's packed T(g) into an
+FpMatrix for every other caller.
 """
 
 from __future__ import annotations
