@@ -9,6 +9,7 @@ same chain, the same enumeration order and the same sampling.
 from __future__ import annotations
 
 import functools
+import weakref
 from array import array
 
 from .errors import CapExceeded, DegreeMismatch
@@ -22,6 +23,8 @@ DEFAULT_ENUM_CAP = 200_000
 MAX_DEGREE = 256
 _LANE = 8  # base images packed into one 8-byte key lane (_pack)
 _SELF = object()  # kept in G._facts for a group_fact value that is G itself
+# the live chains, keyed by (degree, *images of each generator)
+_CHAINS = weakref.WeakValueDictionary()
 
 
 def _orbit(one, gens, point, act):
@@ -65,11 +68,12 @@ class StabilizerChain:
     strong generators assigned to levels >= i (those fixing b_0..b_{i-1}).
     """
 
-    __slots__ = ("degree", "levels", "one", "base")
+    __slots__ = ("degree", "levels", "one", "base", "rows", "__weakref__")
 
     def __init__(self, degree, generators):
         self.degree = degree
         self.levels = []
+        self.rows = None  # the ElementRows, once a group enumerates
         self.one = tuple(range(degree))
         for g in generators:
             if g.degree != degree:
@@ -235,12 +239,12 @@ class PermutationGroup:
     """A group of permutations of {0, ..., n-1}, given by generators.
 
     Instances are immutable by convention: every operation returns a new
-    group, and the stabilizer chain is built lazily exactly once, so
-    concurrent readers are safe. Facts computed by `group_fact` functions
-    are kept in `_facts` for the life of the group.
+    group, and the stabilizer chain is found or built lazily, once per
+    group, so concurrent readers are safe. Facts computed by `group_fact`
+    functions are kept in `_facts` for the life of the group.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_rows", "_facts")
+    __slots__ = ("degree", "generators", "_chain", "_facts")
 
     def __init__(self, degree, generators=()):
         if degree < 1:
@@ -259,13 +263,20 @@ class PermutationGroup:
         self.degree = degree
         self.generators = generators
         self._chain = None
-        self._rows = None
         self._facts = {}
 
     @property
     def chain(self) -> StabilizerChain:
+        """The stabilizer chain, shared by every live group of the same
+        degree and generator images: the chain a fresh build would give,
+        whose levels never change. The memo holds it weakly, and a chain
+        refers to no group, so the memo keeps nothing alive."""
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
+            key = (self.degree, *(g.images for g in self.generators))
+            chain = _CHAINS.get(key)
+            if chain is None:
+                chain = _CHAINS[key] = StabilizerChain(self.degree, self.generators)
+            self._chain = chain
         return self._chain
 
     def order(self) -> int:
@@ -284,9 +295,10 @@ class PermutationGroup:
     def element_rows(self) -> ElementRows:
         """The image tuples of all elements in deterministic chain order,
         as one read-only sequence over the chain's element table, built
-        once and cached: the group's one stored form of its elements,
-        which positions, the conjugation action and the classes are read
-        from. A row tuple is built only when it is read.
+        once and kept on the chain, so every group sharing the chain reads
+        the same one: the group's one stored form of its elements, which
+        positions, the conjugation action and the classes are read from.
+        A row tuple is built only when it is read.
 
         Raises CapExceeded before enumerating anything when order() >
         DEFAULT_ENUM_CAP.
@@ -295,9 +307,10 @@ class PermutationGroup:
         if n > DEFAULT_ENUM_CAP:
             raise CapExceeded(f"group order {n} exceeds enumeration cap "
                               f"{DEFAULT_ENUM_CAP}")
-        if self._rows is None:
-            self._rows = self.chain.iter_elements()
-        return self._rows
+        chain = self.chain
+        if chain.rows is None:
+            chain.rows = chain.iter_elements()
+        return chain.rows
 
     def elements(self) -> list[Permutation]:
         """All elements as Permutations, in the order of element_rows(),

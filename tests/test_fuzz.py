@@ -10,8 +10,10 @@ refusal in the class-closure cores changes no core, that the cached
 power subgroups keep the generators of the product-built route, and that
 the hoisted conjugators of the normality test and the normal closure
 keep the answers of conjugation one pair at a time, and that a subgroup
-built from its rows gets span's generators. Drawn F_p matrices check the
-packed rows of psolv.linear against FpMatrix arithmetic.
+built from its rows gets span's generators. Drawn generator lists check
+that a chain shared between groups is the chain a fresh build gives.
+Drawn F_p matrices check the packed rows of psolv.linear against FpMatrix
+arithmetic.
 """
 
 import pytest
@@ -32,7 +34,8 @@ import psolv.cli as cli
 import psolv.series
 from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
-from psolv.group import PermutationGroup, _grow, _subgroup_of_rows, span, trivial_group
+from psolv.group import (PermutationGroup, StabilizerChain, _grow, _subgroup_of_rows, span,
+                         trivial_group)
 from psolv.linear import FpMatrix, _Lanes
 from psolv.perm import Permutation
 from psolv.subgroups import (_conjugation_action, _normalizes, element_mask, normal_closure,
@@ -300,6 +303,36 @@ def test_subgroups_from_rows_keep_the_span(pair):
         got = _subgroup_of_rows(G.degree, given_rows)
         assert got.generators == want.generators
         assert got.order() == want.order() == len(rows)
+
+
+# --- shared chains -----------------------------------------------------------
+
+@st.composite
+def generator_lists(draw):
+    # a degree and a list of image lists, with repeats and the identity
+    degree = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    pool.append(list(range(degree)))
+    return degree, draw(st.lists(st.sampled_from(pool), max_size=5))
+
+
+@SETTINGS
+@given(case=generator_lists())
+def test_a_shared_chain_is_a_fresh_build(case):
+    # a second group on the same list gets the first group's chain, and
+    # that chain has the base, the transversals and the element table of a
+    # chain built afresh
+    degree, images = case
+    first = PermutationGroup(degree, [Permutation(x) for x in images])
+    rows = first.element_rows()
+    second = PermutationGroup(degree, [Permutation(x) for x in images])
+    assert second.chain is first.chain and second.element_rows() is rows
+    fresh = StabilizerChain(degree, second.generators)
+    assert second.chain.base == fresh.base
+    assert len(second.chain.levels) == len(fresh.levels)
+    for lv, want in zip(second.chain.levels, fresh.levels):
+        assert sorted(lv.transversal.items()) == sorted(want.transversal.items())
+    assert rows.table == fresh.element_table()
 
 
 # --- conjugation kernels ----------------------------------------------------

@@ -4,8 +4,8 @@ import weakref
 import pytest
 
 from psolv.errors import CapExceeded, DegreeMismatch
-from psolv.group import (MAX_DEGREE, PermutationGroup, group_fact, span,
-                         trivial_group)
+from psolv.group import (MAX_DEGREE, PermutationGroup, StabilizerChain, group_fact,
+                         span, trivial_group)
 from psolv.perm import identity, parse_cycles
 
 from oracles import elements_of
@@ -69,6 +69,35 @@ def test_enumeration_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_groups_on_one_generator_list_share_chain_and_table():
+    a = g(5, "(1 2 3 4 5)", "(2 5)(3 4)")
+    b = g(5, "(1 2 3 4 5)", "(2 5)(3 4)")
+    assert b.chain is a.chain
+    assert b.element_rows().table is a.element_rows().table
+    # the same points and generators in another order: a chain of its own
+    c = g(5, "(2 5)(3 4)", "(1 2 3 4 5)")
+    assert c.chain is not a.chain
+    assert c.order() == a.order() == 10
+
+
+def test_a_shared_chain_goes_with_its_last_group():
+    import psolv.group
+    gc.collect()
+    gc.disable()
+    try:
+        a = g(7, "(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)")
+        b = g(7, "(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)")
+        assert len(a.elements()) == len(b.elements()) == 21
+        key = (7, *(x.images for x in a.generators))
+        del a
+        assert psolv.group._CHAINS[key] is b.chain
+        del b
+        assert key not in psolv.group._CHAINS
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_elements_cap(monkeypatch):
     import psolv.group
     monkeypatch.setattr(psolv.group, "DEFAULT_ENUM_CAP", 23)
@@ -127,7 +156,9 @@ def test_identity_generators_dropped():
 
 
 def test_order_deterministic_across_builds():
+    # a live group on the same list would share a's chain, so the second
+    # build is made directly
     a = g(4, "(1 2 3 4)", "(1 3)")
-    b = g(4, "(1 2 3 4)", "(1 3)")
+    b = StabilizerChain(4, a.generators)
     assert a.order() == b.order()
-    assert [x.images for x in a.elements()] == [x.images for x in b.elements()]
+    assert [x.images for x in a.elements()] == list(b.iter_elements())

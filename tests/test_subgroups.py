@@ -266,14 +266,19 @@ def test_normal_core_of_a_normal_subgroup_enumerates_nothing(monkeypatch):
     def refuse(self):
         raise AssertionError("a group was enumerated")
 
-    G, H = g(4, "(1 2)", "(1 2 3 4)"), g(4, "(1 2 3)", "(2 3 4)")
+    # S4, A4 and D8 with their generators in the other order than the
+    # module's groups, so that no live group shares their chains and tables
+    G, H = g(4, "(1 2 3 4)", "(1 2)"), g(4, "(2 3 4)", "(1 2 3)")
+    rows = S4.element_rows()
     # the chain's enumeration is the one route to a group's rows, and so
     # to its elements, its positions and its conjugation action
     monkeypatch.setattr(StabilizerChain, "iter_elements", refuse)
     monkeypatch.setattr(PermutationGroup, "elements", refuse)
     assert normal_core(G, H) is H
     with pytest.raises(AssertionError):
-        normal_core(G, g(4, "(1 2 3 4)", "(1 3)"))
+        normal_core(G, g(4, "(1 3)", "(1 2 3 4)"))
+    # a second group on S4's generator list reads S4's table
+    assert g(4, "(1 2)", "(1 2 3 4)").element_rows() is rows
 
 
 def test_sylow_of_s8_stops_its_stabilizers_at_the_target_order(monkeypatch):
