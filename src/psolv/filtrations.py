@@ -36,9 +36,10 @@ from .series import (
 )
 from .subgroups import (
     _first_outside,
+    _lattice,
+    _member,
     _normalizes,
     commutator,
-    element_mask,
     is_normal,
     is_subgroup,
     iterated_commutator,
@@ -364,19 +365,18 @@ class SearchOutcome:
 
 @group_fact
 def _search_table(P: PermutationGroup, p: int, ell: int):
-    """One row per member N of normal_subgroups(P): the element masks over P
-    of N, [N, P], the ell-fold [N, P, ..., P] (N itself when ell = 0) and
-    N^p."""
-    def mask(H):
-        return element_mask(P, H.element_rows())
-
+    """One row per member N of normal_subgroups(P), in its order: the
+    lattice's own element masks over P (_lattice) of N, [N, P], the ell-fold
+    [N, P, ..., P] (N itself when ell = 0) and N^p. _member places the last
+    three, all normal in P, from their generators; no element table is read."""
+    members, masks = _lattice(P)
     rows = []
-    for N in normal_subgroups(P):
+    for N, n in zip(members, masks):
         B = commutator(N, P)
-        n, b = mask(N), mask(B)
+        b = masks[_member(P, B)]
         folded = (n if ell == 0 else b if ell == 1
-                  else mask(iterated_commutator(B, P, ell - 1)))
-        rows.append((n, b, folded, mask(power_subgroup(N, p))))
+                  else masks[_member(P, iterated_commutator(B, P, ell - 1))])
+        rows.append((n, b, folded, masks[_member(P, power_subgroup(N, p))]))
     return tuple(rows)
 
 
@@ -421,8 +421,9 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
     once, so the lattice bounds its nodes.
     "not_pf_embedded" is only returned after the full space is searched.
     Lattice members, their commutators with P and their p-th powers are
-    compared as element masks over P, read from one table per prime and
-    type that every search on P shares.
+    compared as the lattice's own element masks over P, in one table per
+    prime and type that every search on P shares; N is placed among the
+    members by subgroups._member, from its generators.
     """
     require_prime(p)
     check_p_group(P, p)
@@ -443,15 +444,8 @@ def pf_embedded_search(P: PermutationGroup, p: int, N: PermutationGroup,
         return SearchOutcome(SearchOutcome.EXHAUSTED, None, 0, tuple(notes))
 
     table = _search_table(P, p, ell)
-    start_set = element_mask(P, N.element_rows())
-    start = next((i for i, row in enumerate(table) if row[0] == start_set),
-                 None)
-    if start is None:
-        raise InternalMismatch("a normal subgroup is missing from the lattice "
-                               "enumeration")
-
     memo: dict[int, list | None] = {}
-    chain = _extend(table, memo, start)
+    chain = _extend(table, memo, _member(P, N))
     nodes = len(memo)
 
     if chain is None:

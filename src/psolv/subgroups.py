@@ -8,16 +8,15 @@ mutual generator membership, never equal generator lists.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from functools import reduce
-from operator import or_
 
 from .errors import CapExceeded, DegreeMismatch, InternalMismatch
 from .group import (PermutationGroup, _adjoin_all, _grow, _orbit, _pack, _row_keys,
                     _subgroup_of_rows, group_fact, span, trivial_group)
 from .perm import _conjugator, _gather, _make, _power
 
-# the most work normal_subgroups may do, counted as in its docstring
+# the most work normal_subgroups may do, counted as in _lattice's docstring
 LATTICE_WORK_LIMIT = 2_000_000
 
 
@@ -294,27 +293,26 @@ def conjugacy_classes(G: PermutationGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def element_mask(G: PermutationGroup, rows) -> int:
-    """A set of G's rows as an int: bit i stands for G.element_rows()[i].
-
-    Containment is `a & ~b == 0` and the set size is the popcount. Every
-    row must be one of G's. Positions are found by _positions, so a
-    group's element_rows() is read through its table, with no row built.
-    """
-    return reduce(or_, map((1).__lshift__, _positions(G, rows)), 0)
+def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
+    """Every normal subgroup of G, sorted by order, then by sorted element
+    images: the members of the cached _lattice(G), the same objects on
+    every call. Raises CapExceeded past LATTICE_WORK_LIMIT units of work,
+    counted as _lattice says."""
+    return _lattice(G)[0]
 
 
 @group_fact
-def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
-    """Every normal subgroup of G, by closing unions of conjugacy classes.
+def _lattice(G: PermutationGroup) -> tuple[tuple[PermutationGroup, ...], tuple[int, ...]]:
+    """The members of normal_subgroups(G) and, in the same order, their
+    element masks: bit i of a mask stands for G.element_rows()[i], so
+    containment is `a & ~b == 0` and the popcount is the order.
 
-    Each normal subgroup is generated by the classes it contains, so
-    growing known subgroups one class at a time reaches all of them.
-    Subgroups are told apart by their element masks (element_mask): for a
-    normal K and a class C outside it, K<C> is the closure of K under right
-    multiplication by C, and only a mask not seen before is turned into a
-    group by span. The result is sorted by order, then by sorted element
-    images.
+    The members are found by closing unions of conjugacy classes. Each
+    normal subgroup is generated by the classes it contains, so growing
+    known subgroups one class at a time reaches all of them. Subgroups are
+    told apart by their masks: for a normal K and a class C outside it,
+    K<C> is the closure of K under right multiplication by C, and only a
+    mask not seen before is turned into a group by span.
 
     The work is counted in units: each closure pays |G| for the scan of
     its starting mask, and each frontier round then pays |frontier| * |C|,
@@ -384,6 +382,23 @@ def normal_subgroups(G: PermutationGroup) -> tuple[PermutationGroup, ...]:
                     f"{m.bit_count()}")
             found[m] = K2
             queue.append(m)
-    return tuple(found[m] for m in sorted(found, key=lambda m: (
+    masks = tuple(sorted(found, key=lambda m: (
         m.bit_count(),
         sorted(x.images for i, x in enumerate(els) if m >> i & 1))))
+    return tuple(map(found.__getitem__, masks)), masks
+
+
+def _member(G: PermutationGroup, H: PermutationGroup) -> int:
+    """The index of H, a normal subgroup of G, in normal_subgroups(G): the
+    only member of order |H| whose mask holds the positions of H's
+    generators, so nothing of H is enumerated. The members are sorted by
+    order, so only those of H's order are scanned. Raises InternalMismatch
+    when no member matches."""
+    masks = _lattice(G)[1]
+    need = sum(1 << i for i in set(_positions(G, [g.images for g in H.generators])))
+    n = H.order()
+    lo = bisect_left(masks, n, key=int.bit_count)
+    for i in range(lo, bisect_right(masks, n, lo, key=int.bit_count)):
+        if need & ~masks[i] == 0:
+            return i
+    raise InternalMismatch("a normal subgroup is missing from the lattice enumeration")

@@ -1,13 +1,16 @@
 """Brute-force reference implementations the tests compare against.
 
 Everything here works on explicit element sets and ignores the library's
-stabilizer chains, so a bug in the fast path cannot hide in the oracle.
-Only suitable for small groups.
+stabilizer chains, so a bug in the fast path cannot hide in the oracle;
+search_table_by_rows, the one exception, rebuilds the PF search table from
+each subgroup's own element rows instead of the lattice's masks. Only
+suitable for small groups.
 """
 
 from math import gcd, lcm
 
 from psolv.perm import Permutation, identity
+from psolv.subgroups import _positions, commutator, iterated_commutator, power_subgroup
 
 
 def generated(degree, elems):
@@ -161,3 +164,19 @@ def _is_p_power(n, p):
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def search_table_by_rows(P, p, ell, normals):
+    """The PF search table over P, one row per group N in normals: the masks
+    of N, [N, P], [N, P, ..., P] with ell copies of P (N when ell = 0) and
+    N^p, each with bit i for each position in P.element_rows() of one of
+    the subgroup's own enumerated rows."""
+    def mask(H):
+        return sum(1 << i for i in _positions(P, H.element_rows()))
+
+    rows = []
+    for N in normals:
+        folded = N if ell == 0 else iterated_commutator(N, P, ell)
+        rows.append((mask(N), mask(commutator(N, P)), mask(folded),
+                     mask(power_subgroup(N, p))))
+    return tuple(rows)

@@ -12,7 +12,7 @@ from psolv.battery import battery_for_group
 from psolv.catalog import (DEFAULT_CATALOG, Report, build_group,
                            emit_report, parse_group)
 from psolv.errors import InternalMismatch
-from psolv.filtrations import Filtration
+from psolv.filtrations import ELL_ZERO_NOTE, Filtration
 from psolv.group import trivial_group
 from psolv.series import sylow
 
@@ -104,6 +104,30 @@ def test_pf_search(capsys):
                          "--p", "2", "--ell", "1", "--normal", "full")
     assert code == 0
     assert "not_pf_embedded" in out
+
+
+@pytest.mark.parametrize("normal, ell, want", [
+    # the member of order 4 lists (3 4) before (1 2), so the start is
+    # placed in the lattice from its generators, not by its list
+    ("gens:(1 2);(3 4)", "1",
+     {"ell": 1, "group_id": "wreath_cyclic:2:5", "n_order": 4, "p": 2,
+      "outcome": {"status": "found", "nodes": 2, "notes": [], "filtration": {
+          "prime": 2, "type_ell": 1, "ambient_order": 32, "term_orders": [4, 1],
+          "terms": [[[0, 1, 3, 2, 4, 5, 6, 7, 8, 9], [1, 0, 2, 3, 4, 5, 6, 7, 8, 9]],
+                    []]}}}),
+    ("gens:(1 2)(3 4)(5 6)", "0",
+     {"ell": 0, "group_id": "wreath_cyclic:2:5", "n_order": 2, "p": 2,
+      "outcome": {"status": "not_pf_embedded", "nodes": 1,
+                  "notes": [ELL_ZERO_NOTE], "filtration": None}}),
+])
+def test_pf_search_from_a_given_start_in_the_c2_5_lattice(capsys, normal, ell, want):
+    # a start read from the command line, in the 374-member lattice of
+    # C2 wr C5's Sylow 2-subgroup C2^5
+    code, out, err = run(capsys, "pf", "search", "--recipe", "wreath_cyclic:2:5",
+                         "--p", "2", "--normal", normal, "--ell", ell,
+                         "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == want
 
 
 def test_pf_search_on_a_lattice_past_the_work_limit_is_exhausted(capsys):

@@ -3,7 +3,7 @@ import gc
 import pytest
 
 from psolv.catalog import DEFAULT_CATALOG, build_group
-from psolv.errors import (LengthCapExceeded, NotAPGroup, NotNormal,
+from psolv.errors import (InternalMismatch, LengthCapExceeded, NotAPGroup, NotNormal,
                           PreconditionViolated, UnsupportedParameters)
 from psolv.filtrations import (
     ELL_ZERO_NOTE,
@@ -334,28 +334,55 @@ def test_a_refusal_is_paid_once_per_group(monkeypatch):
 
 
 def test_searches_share_one_mask_table(monkeypatch):
-    import psolv.filtrations
-    calls = 0
-    real = psolv.filtrations.element_mask
+    # the table reads the lattice's own masks, and each of [N, P], the
+    # folded commutator, N^p and the start is placed from its generators,
+    # so once the lattice is cached no search packs a member's element rows
+    import psolv.subgroups
+    packed = []
+    real = psolv.subgroups._row_keys
 
     def counted(G, rows):
-        nonlocal calls
-        calls += 1
+        packed.append(len(rows))
         return real(G, rows)
 
-    monkeypatch.setattr(psolv.filtrations, "element_mask", counted)
     P = sylow(build_group("wreath_cyclic:2:4"), 2)
     normals = normal_subgroups(P)
     assert len(normals) == 13
+    monkeypatch.setattr(psolv.subgroups, "_row_keys", counted)
     for N in normals:
         pf_embedded_search(P, 2, N, 1)
-    # four masks per lattice member, built once, plus one per start
-    assert calls <= 5 * len(normals)
+    # P has order 2^6, so a reduced generator list holds at most 6 rows,
+    # fewer than the elements of any member of order 8 or more
+    assert packed
+    assert max(packed) <= P.order().bit_length() - 1
+
+
+def test_a_member_missing_from_the_lattice_is_a_mismatch(monkeypatch):
+    # the lattice fact with one member and its mask dropped: every search
+    # whose start is that member must raise, never report a chain or a
+    # not_pf_embedded verdict
+    import psolv.filtrations
+    import psolv.subgroups
+    real = psolv.subgroups._lattice
+    for k in range(1, len(normal_subgroups(D8))):
+        def lacking(G, k=k):
+            members, masks = real(G)
+            return members[:k] + members[k + 1:], masks[:k] + masks[k + 1:]
+
+        with monkeypatch.context() as m:
+            m.setattr(psolv.subgroups, "_lattice", lacking)
+            m.setattr(psolv.filtrations, "_lattice", lacking)
+            # a fresh object, so no table or lattice is cached on it
+            P = g(4, "(1 2 3 4)", "(1 3)")
+            N = real(P)[0][k]
+            with pytest.raises(InternalMismatch, match="missing from the lattice"):
+                pf_embedded_search(P, 2, N, 1)
 
 
 def test_searches_wrap_no_element_list(monkeypatch):
-    # the mask table and each start mask are read from rows: once the
-    # lattice is cached, no search asks a group for its Permutations
+    # the mask table reads the lattice's masks and each start is placed
+    # from its generators: once the lattice is cached, no search asks a
+    # group for its Permutations
     import psolv.filtrations
     P = build_group("extraspecial:5:plus")
     normals = normal_subgroups(P)

@@ -13,7 +13,9 @@ keep the answers of conjugation one pair at a time, and that a subgroup
 built from its rows gets span's generators. Drawn generator lists check
 that a chain shared between groups is the chain a fresh build gives.
 Drawn F_p matrices check the packed rows of psolv.linear against FpMatrix
-arithmetic.
+arithmetic. Drawn Sylow subgroups check that the PF search table, read
+from the normal-subgroup lattice's own masks, is the table built from each
+subgroup's element rows.
 """
 
 import pytest
@@ -34,14 +36,16 @@ import psolv.cli as cli
 import psolv.series
 from psolv.catalog import _KINDS, _read, parse_recipe
 from psolv.errors import GroupParseError
+from psolv.filtrations import _search_table
 from psolv.group import (PermutationGroup, StabilizerChain, _grow, _subgroup_of_rows, span,
                          trivial_group)
 from psolv.linear import FpMatrix, _Lanes
 from psolv.perm import Permutation
-from psolv.subgroups import (_conjugation_action, _normalizes, element_mask, normal_closure,
-                             power_subgroup)
+from psolv.subgroups import (_conjugation_action, _member, _normalizes, _positions, commutator,
+                             iterated_commutator, normal_closure, normal_subgroups,
+                             power_subgroup, same_subgroup)
 
-from oracles import power_by_products
+from oracles import power_by_products, search_table_by_rows
 
 # the largest group a drawn recipe may name; S5 and the order-125 groups fit
 ORDER_LIMIT = 200
@@ -363,7 +367,22 @@ def test_conjugation_action_is_a_scan_for_each_conjugate(G):
     for g, action in zip(G.generators, maps):
         assert action == [scan[x.conjugate(g).images] for x in els]
     for i, x in enumerate(els):
-        assert element_mask(G, [x.images]) == 1 << i
+        assert list(_positions(G, [x.images])) == [i]
+
+
+@SETTINGS
+@given(G=permutation_groups(), p=st.sampled_from((2, 3)), ell=st.integers(0, 2))
+def test_search_table_reads_the_lattice_masks(G, p, ell):
+    # the table from the lattice's masks, with [N, P], the folded
+    # commutator and N^p placed by _member, is the table of masks built
+    # from each subgroup's rows; and _member finds each group's own member
+    P = psolv.series.sylow(G, p)
+    normals = normal_subgroups(P)
+    assert _search_table(P, p, ell) == search_table_by_rows(P, p, ell, normals)
+    for N in normals:
+        folded = N if ell == 0 else iterated_commutator(N, P, ell)
+        for H in (N, commutator(N, P), folded, power_subgroup(N, p)):
+            assert same_subgroup(normals[_member(P, H)], H)
 
 
 def _normalizes_by_conjugate(H, N):

@@ -21,8 +21,8 @@ from psolv.catalog import DEFAULT_CATALOG, build_group
 from psolv.errors import DegreeMismatch
 from psolv.group import ElementRows, PermutationGroup, _orbit, _pack, span, trivial_group
 from psolv.perm import Permutation, _conjugator, _gather, _make, _power, from_cycles, identity
-from psolv.subgroups import (_conjugation_action, _element_index, centralizer,
-                             element_mask, normalizer, same_subgroup)
+from psolv.subgroups import (_conjugation_action, _element_index, _positions, centralizer,
+                             normalizer, same_subgroup)
 
 from oracles import centralizer_set, normalizer_set
 
@@ -178,9 +178,9 @@ def _check_index(G):
     # in the action, against scans of G.elements()
     positions = _scan_positions(G)
     assert sorted(_element_index(G).values()) == list(range(G.order()))
-    assert element_mask(G, G.element_rows()) == (1 << G.order()) - 1
+    assert sorted(_positions(G, G.element_rows())) == list(range(G.order()))
     for row, i in positions.items():
-        assert element_mask(G, [row]) == 1 << i
+        assert list(_positions(G, [row])) == [i]
     els = G.elements()
     for g, action in zip(G.generators, _conjugation_action(G)):
         assert action == [positions[x.conjugate(g).images] for x in els]
@@ -212,7 +212,7 @@ def test_keys_of_an_empty_base(degree):
         assert list(_pack([], 1)) == [0]
         assert _element_index(G) == {0: 0}
         assert _conjugation_action(G) == tuple([0] for _ in G.generators)
-        assert element_mask(G, [tuple(range(degree))]) == 1
+        assert list(_positions(G, [tuple(range(degree))])) == [0]
 
 
 def test_centralizer_matches_a_scan_of_the_elements(G):

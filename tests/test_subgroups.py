@@ -6,11 +6,13 @@ from psolv.group import PermutationGroup, StabilizerChain, trivial_group
 from psolv.perm import Permutation, parse_cycles
 from psolv.subgroups import (
     _conjugation_action,
+    _lattice,
+    _member,
     _normalizes,
+    _positions,
     centralizer,
     commutator,
     conjugacy_classes,
-    element_mask,
     intersect,
     is_normal,
     is_subgroup,
@@ -479,12 +481,18 @@ def test_normal_subgroups_against_class_union_oracle(G, count):
         assert is_normal(G, H)
 
 
-def test_element_mask():
+def test_positions_and_lattice_masks():
     rows = S4.element_rows()
-    assert element_mask(S4, rows) == (1 << 24) - 1
-    assert element_mask(S4, [rows[5], rows[2], rows[5]]) == (1 << 5) | (1 << 2)
-    v = element_mask(S4, V4.element_rows())
-    a = element_mask(S4, A4.element_rows())
+    assert sorted(_positions(S4, rows)) == list(range(24))
+    assert list(_positions(S4, [rows[5], rows[2], rows[5]])) == [5, 2, 5]
+    members, masks = _lattice(S4)
+    # the lattice fact is the one normal_subgroups returns, with one mask
+    # per member: the positions of its elements
+    assert normal_subgroups(S4) is members
+    assert masks == tuple(sum(1 << i for i in _positions(S4, H.element_rows()))
+                          for H in members)
+    v = masks[_member(S4, V4)]
+    a = masks[_member(S4, A4)]
     assert v.bit_count() == 4
     assert v & ~a == 0 and a & ~v != 0
 
