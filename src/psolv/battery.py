@@ -134,7 +134,8 @@ def _linear_action_verdict(G, gid, p, seed):
 
     The SAMPLE_PAIRS samples are drawn from the element rows of G and of
     the core and checked by linear.sample_identities, on packed F_p rows
-    and image tuples; only the unipotency degrees read FpMatrix values."""
+    and image tuples; the unipotency degrees are computed on the kept
+    T(g) of each Sylow generator, an FpMatrix of the same packed rows."""
     V = o_p(G, p)
     if V.is_trivial():
         return None

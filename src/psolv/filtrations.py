@@ -60,21 +60,25 @@ ELL_ZERO_NOTE = ("type 0 uses the literal reading: the potency condition "
 
 
 @group_fact
-def _frattini_subspaces(P: PermutationGroup, p: int) -> int:
-    """Number of subspaces of P/Phi(P) for the p-group P, where
-    Phi(P) = [P, P]P^p: the sum over k of the Gaussian binomials [d k]_p,
-    d the rank of P/Phi(P). Every subgroup of P that contains Phi(P) is
-    normal, so P has at least this many normal subgroups.
-
-    Phi(P) is the normal closure in P of the generators' p-th powers and
-    pairwise commutators: modulo that closure the generators commute and
-    have order p, so the quotient is elementary abelian, and each seed
-    lies in Phi(P). Nothing of P is enumerated."""
+def _frattini(P: PermutationGroup, p: int) -> PermutationGroup:
+    """Phi(P) = [P, P]P^p for the p-group P, as the normal closure in P of
+    the generators' p-th powers and pairwise commutators: modulo that
+    closure the generators commute and have order p, so the quotient is
+    elementary abelian, and each seed lies in Phi(P). Nothing of P is
+    enumerated."""
     gens = P.generators
     seeds = [g ** p for g in gens] + [a.commutator(b) for i, a in enumerate(gens)
                                       for b in gens[i + 1:]]
-    frattini = normal_closure(P, PermutationGroup(P.degree, seeds))
-    d = _p_valuation(P.order() // frattini.order(), p)
+    return normal_closure(P, PermutationGroup(P.degree, seeds))
+
+
+@group_fact
+def _frattini_subspaces(P: PermutationGroup, p: int) -> int:
+    """Number of subspaces of P/Phi(P) for the p-group P: the sum over k of
+    the Gaussian binomials [d k]_p, d the rank of P/Phi(P). Every subgroup
+    of P that contains Phi(P) is normal, so P has at least this many normal
+    subgroups, and exactly this many contain Phi(P)."""
+    d = _p_valuation(P.order() // _frattini(P, p).order(), p)
     row = [1]  # [n k]_p for k = 0 .. n, by the q-Pascal rule
     for n in range(1, d + 1):
         row = [1] + [row[k - 1] + p ** k * row[k] for k in range(1, n)] + [1]
@@ -89,11 +93,21 @@ def exhaustive_lattice(P: PermutationGroup, p: int):
     trivial group costs at least one closure of |P| units, so a P whose
     quotient P/Phi(P) has F subspaces is refused before any closure when
     (F - 1) * |P| is above the limit. Cached on P, so a refusal found
-    while the lattice is enumerated is paid once per group object."""
+    while the lattice is enumerated is paid once per group object.
+
+    A lattice that is let through must hold exactly F members that contain
+    Phi(P), counted on their masks, or InternalMismatch is raised: a member
+    missing above Phi(P) is caught here, one below it is not."""
     try:
-        if ((_frattini_subspaces(P, p) - 1) * P.order()
-                <= subgroups.LATTICE_WORK_LIMIT):
-            return normal_subgroups(P)
+        count = _frattini_subspaces(P, p)
+        if (count - 1) * P.order() <= subgroups.LATTICE_WORK_LIMIT:
+            normals = normal_subgroups(P)
+            masks = _lattice(P)[1]
+            phi = masks[_member(P, _frattini(P, p))]
+            if sum(m & phi == phi for m in masks) != count:
+                raise InternalMismatch("a normal subgroup above the Frattini subgroup "
+                                       "is missing from the lattice enumeration")
+            return normals
     except CapExceeded:
         pass
     return None

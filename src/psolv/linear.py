@@ -8,17 +8,13 @@ coords(v^g) = coords(v) * T(g), so T(gh) = T(g) T(h), and the commutator
 identity coords([v, g]) = coords(v) * (T(g) - I) holds.
 
 Inside, an F_p vector is one int with a lane of bits per coordinate
-(_Lanes), and an element is its image tuple. sample_identities checks
-both identities on sampled elements in that form: a sample builds no
-Permutation, no FpMatrix and no coordinate tuple, and a Permutation is
-made only once per distinct element, to sift it into G or to invert a
-kernel element. matrix(g) unpacks an element's packed T(g) into an
-FpMatrix for every other caller.
-"""
+(_Lanes), an FpMatrix holds its rows in that form, and an element is its
+image tuple. sample_identities checks both identities on sampled elements
+in that form: a sample builds no Permutation and no coordinate tuple, and
+a Permutation is made only once per distinct element, to sift it into G
+or to invert a kernel element."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     InternalMismatch,
@@ -31,62 +27,6 @@ from .group import PermutationGroup
 from .perm import Permutation, _conjugator, _gather, _make, identity
 from .series import require_prime
 from .subgroups import is_normal
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """A matrix over F_p; rows is a tuple of equal-length tuples of ints
-    already reduced mod p."""
-
-    p: int
-    rows: tuple
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n))
-                            for i in range(n)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def _check_peer(self, other):
-        if not isinstance(other, FpMatrix):
-            raise TypeError("expected an FpMatrix")
-        if self.p != other.p:
-            raise UnsupportedParameters("matrices live over different primes")
-
-    def __sub__(self, other) -> "FpMatrix":
-        self._check_peer(other)
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise UnsupportedParameters("matrix shapes do not match")
-        return FpMatrix(self.p, tuple(
-            tuple((a - b) % self.p for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __mul__(self, other) -> "FpMatrix":
-        self._check_peer(other)
-        if self.ncols != other.nrows:
-            raise UnsupportedParameters("matrix shapes do not compose")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return FpMatrix(self.p, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % self.p for col in cols)
-            for row in self.rows))
-
-    def row_apply(self, vector) -> tuple:
-        """Row vector times matrix."""
-        if len(vector) != self.nrows:
-            raise UnsupportedParameters("vector length does not match the matrix")
-        cols = zip(*self.rows) if self.rows else ()
-        return tuple(sum(a * b for a, b in zip(vector, col)) % self.p
-                     for col in cols)
-
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.rows)
 
 
 class _Lanes:
@@ -148,14 +88,70 @@ class _Lanes:
         times = self.times
         return [times(a[1], B) for a in A]
 
-    def minus_identity(self, M: tuple) -> tuple:
-        """The packed matrix M - I: row i gains p - 1 in lane i."""
-        p, w = self.p, self.width
-        return tuple(self.multiples(self.add(m[1], (p - 1) << (w * i)))
-                     for i, m in enumerate(M))
 
-    def unpack_matrix(self, M: tuple) -> FpMatrix:
-        return FpMatrix(self.p, tuple(self.unpack(m[1]) for m in M))
+class FpMatrix:
+    """A square matrix over F_p, held as a packed matrix of _Lanes.
+    FpMatrix(p, rows) takes d rows of d ints in range(p), else raises
+    UnsupportedParameters: an unreduced entry would spill into the next
+    lane. Only matrices of one prime and size combine."""
+
+    __slots__ = ("lanes", "packed")
+
+    def __init__(self, p: int, rows):
+        d = len(rows)
+        if any(len(row) != d or not all(0 <= c < p for c in row) for row in rows):
+            raise UnsupportedParameters(f"expected a square matrix over range({p})")
+        self.lanes = lanes = _Lanes(p, d)
+        self.packed = tuple(lanes.multiples(lanes.pack(row)) for row in rows)
+
+    @classmethod
+    def _of(cls, lanes: _Lanes, packed_rows) -> FpMatrix:
+        M = object.__new__(cls)
+        M.lanes = lanes
+        M.packed = tuple(map(lanes.multiples, packed_rows))
+        return M
+
+    @classmethod
+    def identity(cls, p: int, n: int) -> FpMatrix:
+        lanes = _Lanes(p, n)
+        return cls._of(lanes, (1 << lanes.width * i for i in range(n)))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(self.lanes.unpack(m[1]) for m in self.packed)
+
+    def __repr__(self) -> str:
+        return f"FpMatrix({self.lanes.p}, {self.rows})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FpMatrix):
+            return NotImplemented
+        return self.lanes.p == other.lanes.p and self.packed == other.packed
+
+    def _peer(self, other: FpMatrix) -> _Lanes:
+        if (other.lanes.p, other.lanes.d) != (self.lanes.p, self.lanes.d):
+            raise UnsupportedParameters("the matrices differ in prime or size")
+        return self.lanes
+
+    def __sub__(self, other: FpMatrix) -> FpMatrix:
+        lanes = self._peer(other)  # b's multiple p - 1 is -b
+        return FpMatrix._of(lanes, (lanes.add(a[1], b[-1])
+                                    for a, b in zip(self.packed, other.packed)))
+
+    def __mul__(self, other: FpMatrix) -> FpMatrix:
+        lanes = self._peer(other)
+        return FpMatrix._of(lanes, lanes.product(self.packed, other.packed))
+
+    def row_apply(self, vector) -> tuple:
+        """Row vector times matrix, the vector's entries read mod p."""
+        lanes = self.lanes
+        if len(vector) != lanes.d:
+            raise UnsupportedParameters("vector length does not match the matrix")
+        return lanes.unpack(lanes.times(lanes.pack(c % lanes.p for c in vector),
+                                        self.packed))
+
+    def is_zero(self) -> bool:
+        return not any(m[1] for m in self.packed)
 
 
 class LinearAction:
@@ -166,10 +162,10 @@ class LinearAction:
     and elementary abelian of exponent p (KernelNotElementaryAbelian). The
     basis is the greedy independent subfamily of the kernel's generators,
     and every kernel element's exponent vector is tabulated, packed, and
-    keyed by the element's images. An element g's facts are its packed
-    T(g), its packed T(g) - I and its conjugator. They are built once, on
-    first use, after g is sifted through G, and kept on the instance keyed
-    by g's images. A refusal is not kept, so an element outside G raises
+    keyed by the element's images. An element g's facts are T(g),
+    T(g) - I and its conjugator. They are built once, on first use, after
+    g is sifted through G, and kept on the instance keyed by g's images.
+    A refusal is not kept, so an element outside G raises
     PreconditionViolated on every call.
     """
 
@@ -218,9 +214,10 @@ class LinearAction:
         self.dimension = d
         self._lanes = lanes = _Lanes(p, d)
         self._coords = {x: lanes.pack(c) for x, c in seen.items()}
+        self._identity = FpMatrix.identity(p, d)
         self._facts = {}
-        self._matrices = {}
 
+    # kept: perfbench's tracer wraps it by name, and criterion 08 reads it
     def coords(self, v: Permutation) -> tuple:
         try:
             return self._lanes.unpack(self._coords[v.images])
@@ -228,6 +225,7 @@ class LinearAction:
             raise PreconditionViolated(
                 "the element does not lie in the kernel") from None
 
+    # kept: perfbench's tracer wraps it by name
     def element(self, coords) -> Permutation:
         if len(coords) != self.dimension:
             raise UnsupportedParameters("coordinate length does not match")
@@ -236,19 +234,16 @@ class LinearAction:
             x = x * b ** (e % self.prime)
         return x
 
+    # kept: perfbench's tracer wraps it by name, and criterion 08 reads it
     def matrix(self, g: Permutation) -> FpMatrix:
-        """Row i is coords(basis_i conjugated by g). It is g's packed T(g),
-        unpacked on the first call for g's images; later calls return the
-        same matrix. Raises PreconditionViolated for g outside G."""
-        T = self._matrices.get(g.images)
-        if T is None:
-            T = self._matrices[g.images] = self._lanes.unpack_matrix(
-                self._element_facts(g.images)[0])
-        return T
+        """Row i is coords(basis_i conjugated by g): g's kept T(g), the
+        same object on every call for g's images. Raises
+        PreconditionViolated for g outside G."""
+        return self._element_facts(g.images)[0]
 
     def _element_facts(self, g: tuple) -> tuple:
-        """(T(g), T(g) - I, conjugator) for the element with images g, the
-        matrices packed; built on the first call for g."""
+        """(T(g), T(g) - I, conjugator) for the element with images g,
+        built on the first call for g."""
         facts = self._facts.get(g)
         if facts is None:
             x = _make(g)
@@ -256,10 +251,9 @@ class LinearAction:
                 raise PreconditionViolated(
                     "the acting element must belong to the base group")
             conj = _conjugator(x)
-            lanes = self._lanes
-            T = tuple(lanes.multiples(self._coords[conj(b.images)])
-                      for b in self.basis)
-            facts = self._facts[g] = (T, lanes.minus_identity(T), conj)
+            T = FpMatrix._of(self._lanes, (self._coords[conj(b.images)]
+                                           for b in self.basis))
+            facts = self._facts[g] = (T, T - self._identity, conj)
         return facts
 
 
@@ -285,13 +279,14 @@ def sample_identities(action: LinearAction, rng, pairs: int) -> tuple:
         g = rng.choice(els)
         h = rng.choice(els)
         T, D, conj = facts(g)
-        if [c[1] for c in facts(_gather(g)(h))[0]] != product(T, facts(h)[0]):
+        if ([c[1] for c in facts(_gather(g)(h))[0].packed]
+                != product(T.packed, facts(h)[0].packed)):
             return False, True
         v = rng.choice(kernel)
         after = inverse_gather.get(v)
         if after is None:
             after = inverse_gather[v] = _gather(_make(v).inverse().images)
-        if coords[after(conj(v))] != times(coords[v], D):
+        if coords[after(conj(v))] != times(coords[v], D.packed):
             return True, False
     return True, True
 
@@ -303,12 +298,10 @@ def unipotency_degree(T: FpMatrix) -> int | None:
     unipotent map on a d-dimensional space has degree at most d, so only
     exponents up to d are tried.
     """
-    if T.nrows != T.ncols:
-        raise UnsupportedParameters("unipotency is defined for square matrices")
-    d = T.nrows
+    d = T.lanes.d
     if d == 0:
         return 0
-    nil = T - FpMatrix.identity(T.p, d)
+    nil = T - FpMatrix.identity(T.lanes.p, d)
     acc = nil
     for m in range(1, d + 1):
         if acc.is_zero():

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the tests compare against.
 
-Everything here works on explicit element sets and ignores the library's
-stabilizer chains, so a bug in the fast path cannot hide in the oracle;
+Everything here works on explicit element sets, or on F_p matrices as
+tuples of row tuples, and ignores the library's stabilizer chains and
+packed rows, so a bug in the fast path cannot hide in the oracle;
 search_table_by_rows, the one exception, rebuilds the PF search table from
 each subgroup's own element rows instead of the lattice's masks. Only
 suitable for small groups.
@@ -68,6 +69,38 @@ def action_matrix_rows(action, g):
     return tuple(action.coords(b.conjugate(g)) for b in action.basis)
 
 
+def fp_identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def fp_difference(p, A, B):
+    """A - B over F_p, for matrices as tuples of row tuples."""
+    return tuple(tuple((a - b) % p for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def fp_row_apply(p, v, A):
+    """The row vector v times A over F_p; A has len(v) rows."""
+    return tuple(sum(c * a for c, a in zip(v, col)) % p for col in zip(*A))
+
+
+def fp_product(p, A, B):
+    return tuple(fp_row_apply(p, row, B) for row in A)
+
+
+def fp_unipotency_degree(p, T):
+    """Least m <= len(T) with (T - I)^m = 0, 0 for the empty matrix, else
+    None."""
+    d = len(T)
+    nil = fp_difference(p, T, fp_identity(d))
+    zero = fp_difference(p, nil, nil)
+    acc = fp_identity(d)
+    for m in range(d + 1):
+        if acc == zero:
+            return m
+        acc = fp_product(p, acc, nil)
+    return None
+
+
 def exponent_of(elems):
     e = 1
     for g in elems:
@@ -114,6 +147,25 @@ def normal_subgroup_sets(G_elems, degree):
                 found.add(grown)
                 todo.append(grown)
     return list(found)
+
+
+def pf_embedded_sets(P_elems, degree, p, ell):
+    """Each normal subgroup N of the p-group P, as an element set, mapped
+    to whether N starts a type-ell potent filtration of P: ok(N) holds when
+    N = 1, or when some normal M < N has [N, P] <= M, the ell-fold
+    [N, P, ..., P] <= M^p (N <= M^p when ell = 0), and ok(M)."""
+    normals = sorted(normal_subgroup_sets(P_elems, degree), key=len)
+    powers = {M: power_set(degree, M, p) for M in normals}
+    ok = {}
+    for N in normals:  # by order, so every M < N is decided before N
+        bracket = commutator_set(degree, N, P_elems)
+        folded = N
+        for _ in range(ell):
+            folded = commutator_set(degree, folded, P_elems)
+        ok[N] = len(N) == 1 or any(
+            M < N and bracket <= M and folded <= powers[M] and ok[M]
+            for M in normals if len(M) < len(N))
+    return ok
 
 
 def sylow_core_set(G_elems, P_elems):

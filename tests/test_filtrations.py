@@ -12,6 +12,7 @@ from psolv.filtrations import (
     compute_ekr,
     ekr_pf_candidates,
     _ekr_pieces,
+    _frattini,
     _frattini_subspaces,
     exhaustive_lattice,
     pf_embedded_search,
@@ -21,9 +22,11 @@ from psolv.group import PermutationGroup, trivial_group
 from psolv.perm import parse_cycles
 from psolv.series import gamma, lower_central_series, sylow
 from psolv.theorems import question7_scan
-from psolv.subgroups import (commutator, conjugacy_classes, is_normal,
+from psolv.subgroups import (commutator, conjugacy_classes, is_normal, is_subgroup,
                              iterated_commutator, join, normal_closure,
                              normal_subgroups, power_subgroup, same_subgroup)
+
+from oracles import elements_of, pf_embedded_sets
 
 
 def g(degree, *cycle_texts):
@@ -377,6 +380,96 @@ def test_a_member_missing_from_the_lattice_is_a_mismatch(monkeypatch):
             N = real(P)[0][k]
             with pytest.raises(InternalMismatch, match="missing from the lattice"):
                 pf_embedded_search(P, 2, N, 1)
+
+
+@pytest.mark.parametrize("gid, unseen", [
+    # D8: Phi(P) is the centre, of order 2, and lies in every nontrivial
+    # member, so every drop is seen
+    ("dihedral:4", []),
+    # order 64, Phi(P) of order 16: the members of order at most 8, and
+    # two of the three of order 16, do not contain it
+    ("wreath_cyclic:2:4", [(1, 2), (2, 4), (3, 8), (4, 8), (5, 8), (6, 16), (8, 16)]),
+])
+def test_a_member_missing_above_the_frattini_subgroup_fails_the_gate(
+        monkeypatch, gid, unseen):
+    # the gate counts the members containing Phi(P) against the subspaces
+    # of P/Phi(P): dropping one of them raises before any search runs;
+    # the drops it cannot see are named, as (index, order)
+    import psolv.filtrations
+    import psolv.subgroups
+    real = psolv.subgroups._lattice
+    members = real(sylow(build_group(gid), 2))[0]
+    missed = []
+    for k in range(1, len(members)):
+        def lacking(G, k=k):
+            members, masks = real(G)
+            return members[:k] + members[k + 1:], masks[:k] + masks[k + 1:]
+
+        with monkeypatch.context() as m:
+            m.setattr(psolv.subgroups, "_lattice", lacking)
+            m.setattr(psolv.filtrations, "_lattice", lacking)
+            # a fresh object, so no lattice or gate answer is cached on it
+            P = sylow(build_group(gid), 2)
+            N = real(P)[0][k]
+            if is_subgroup(_frattini(P, 2), N):
+                with pytest.raises(InternalMismatch, match="missing from the lattice"):
+                    exhaustive_lattice(P, 2)
+            else:
+                assert len(exhaustive_lattice(P, 2)) == len(members) - 1
+                missed.append((k, N.order()))
+    assert missed == unseen
+
+
+# the catalog Sylow subgroups the set oracle decides; order 32 would take
+# about eight times as long
+ORACLE_ORDER_LIMIT = 16
+
+
+def _disagreements_with_the_set_oracle(p, ells):
+    """Every (gid, ell, start order, status) where pf_embedded_search,
+    started at a lattice member, decides otherwise than
+    oracles.pf_embedded_sets, over the catalog's Sylow p-subgroups of order
+    at most ORACLE_ORDER_LIMIT; and the number of not_pf_embedded answers."""
+    wrong, negatives = [], 0
+    for gid in DEFAULT_CATALOG:
+        P = sylow(build_group(gid), p)
+        if P.order() > ORACLE_ORDER_LIMIT:
+            continue
+        members = normal_subgroups(P)
+        for ell in ells:
+            ok = pf_embedded_sets(elements_of(P), P.degree, p, ell)
+            assert set(ok) == {frozenset(N.elements()) for N in members}, gid
+            for N in members:
+                status = pf_embedded_search(P, p, N, ell).status
+                negatives += status == SearchOutcome.NOT_PF_EMBEDDED
+                if (status == SearchOutcome.FOUND) != ok[frozenset(N.elements())]:
+                    wrong.append((gid, ell, N.order(), status))
+    return wrong, negatives
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_every_search_outcome_matches_the_set_oracle(p):
+    # negatives included: nothing inside the search checks a
+    # not_pf_embedded answer
+    wrong, negatives = _disagreements_with_the_set_oracle(p, sorted({0, 1, p - 1, p}))
+    assert wrong == []
+    assert negatives > 0
+
+
+def test_the_set_oracle_catches_a_search_table_fault(monkeypatch):
+    # the potency column holds [N, P] in place of the 2-fold [N, P, P], a
+    # stricter test: its wrong answers are false not_pf_embedded verdicts,
+    # which the search's check of its own chains never sees
+    import psolv.filtrations
+    real = psolv.filtrations._search_table
+
+    def one_fold_short(P, p, ell):
+        return tuple((n, b, b, power) for n, b, _, power in real(P, p, ell))
+
+    monkeypatch.setattr(psolv.filtrations, "_search_table", one_fold_short)
+    wrong, _ = _disagreements_with_the_set_oracle(2, [2])
+    assert wrong
+    assert {status for *_, status in wrong} == {SearchOutcome.NOT_PF_EMBEDDED}
 
 
 def test_searches_wrap_no_element_list(monkeypatch):

@@ -12,8 +12,8 @@ the hoisted conjugators of the normality test and the normal closure
 keep the answers of conjugation one pair at a time, and that a subgroup
 built from its rows gets span's generators. Drawn generator lists check
 that a chain shared between groups is the chain a fresh build gives.
-Drawn F_p matrices check the packed rows of psolv.linear against FpMatrix
-arithmetic. Drawn Sylow subgroups check that the PF search table, read
+Drawn F_p matrices check FpMatrix, which computes on packed rows, against
+tuple arithmetic. Drawn Sylow subgroups check that the PF search table, read
 from the normal-subgroup lattice's own masks, is the table built from each
 subgroup's element rows.
 """
@@ -39,13 +39,14 @@ from psolv.errors import GroupParseError
 from psolv.filtrations import _search_table
 from psolv.group import (PermutationGroup, StabilizerChain, _grow, _subgroup_of_rows, span,
                          trivial_group)
-from psolv.linear import FpMatrix, _Lanes
+from psolv.linear import FpMatrix, unipotency_degree
 from psolv.perm import Permutation
 from psolv.subgroups import (_conjugation_action, _member, _normalizes, _positions, commutator,
                              iterated_commutator, normal_closure, normal_subgroups,
                              power_subgroup, same_subgroup)
 
-from oracles import power_by_products, search_table_by_rows
+from oracles import (fp_difference, fp_identity, fp_product, fp_row_apply,
+                     fp_unipotency_degree, power_by_products, search_table_by_rows)
 
 # the largest group a drawn recipe may name; S5 and the order-125 groups fit
 ORDER_LIMIT = 200
@@ -445,11 +446,17 @@ def _with_full_matrices(test):
 @given(case=fp_cases())
 def test_packed_rows_match_fp_matrices(case):
     p, a, b, v = case
+    d = len(v)
     A, B = FpMatrix(p, a), FpMatrix(p, b)
-    lanes = _Lanes(p, len(v))
-    pA, pB = (tuple(lanes.multiples(lanes.pack(row)) for row in M)
-              for M in (a, b))
-    assert tuple(map(lanes.unpack, lanes.product(pA, pB))) == (A * B).rows
-    assert lanes.unpack(lanes.times(lanes.pack(v), pB)) == B.row_apply(v)
-    assert (lanes.unpack_matrix(lanes.minus_identity(pA))
-            == A - FpMatrix.identity(p, len(v)))
+    assert A.rows == a and B.rows == b
+    assert (A * B).rows == fp_product(p, a, b)
+    assert (A - B).rows == fp_difference(p, a, b)
+    assert B.row_apply(v) == fp_row_apply(p, v, b)
+    assert FpMatrix.identity(p, d).rows == fp_identity(d)
+    assert (A == B) == (a == b) == (A - B).is_zero()
+    assert A == FpMatrix(p, a) and (A - A).is_zero()
+    assert unipotency_degree(A) == fp_unipotency_degree(p, a)
+    # the identity plus A's strictly upper part is unipotent
+    u = tuple(tuple(c if j > i else int(i == j) for j, c in enumerate(row))
+              for i, row in enumerate(a))
+    assert unipotency_degree(FpMatrix(p, u)) == fp_unipotency_degree(p, u) is not None

@@ -7,6 +7,7 @@ from psolv.errors import (
     KernelNotElementaryAbelian,
     NotNormal,
     PreconditionViolated,
+    UnsupportedParameters,
 )
 from psolv.group import PermutationGroup, trivial_group
 from psolv.linear import (
@@ -53,6 +54,28 @@ def test_matrix_row_apply():
     assert t.row_apply((1, 2)) == (2, 1)
 
 
+@pytest.mark.parametrize("p, rows", [
+    (2, ((1, 0),)),          # not square
+    (2, ((1, 0), (0,))),     # a short row
+    (2, ((1, 0), (0, 2))),   # unreduced: 2 would spill into the next lane
+    (3, ((-1,),)),
+])
+def test_a_matrix_must_be_square_and_reduced(p, rows):
+    with pytest.raises(UnsupportedParameters):
+        FpMatrix(p, rows)
+
+
+def test_matrices_of_another_prime_or_size_do_not_combine():
+    for other in (FpMatrix.identity(3, 2), FpMatrix.identity(2, 3)):
+        with pytest.raises(UnsupportedParameters):
+            I2 * other
+        with pytest.raises(UnsupportedParameters):
+            I2 - other
+        assert I2 != other
+    with pytest.raises(UnsupportedParameters):
+        I2.row_apply((1, 0, 0))
+
+
 def test_unipotency_degree():
     assert unipotency_degree(I2) == 1
     u = FpMatrix(2, ((1, 1), (0, 1)))
@@ -89,8 +112,8 @@ def test_centralizing_elements_act_trivially():
 
 
 def test_action_is_a_homomorphism():
-    # over every pair, so most matrices come from the memo; each one is
-    # also checked against the uncached oracle
+    # over every pair, so most matrices are an element's kept T(g); each
+    # one is also checked against the oracle, built afresh
     for G in (S4, A4):
         A = LinearAction(G, V4, 2)
         els = G.elements()
@@ -180,7 +203,7 @@ def _verdict(gid, p):
 
 @pytest.mark.parametrize("gid, p", FAULT_GROUPS)
 def test_a_corrupted_matrix_breaks_multiplicativity(monkeypatch, gid, p):
-    # one element's packed T(g) gains 1 in its first entry
+    # one element's stored T(g) gains 1 in its first packed entry
     build = LinearAction._element_facts
     target = build_group(gid).element_rows()[1]
 
@@ -188,7 +211,9 @@ def test_a_corrupted_matrix_breaks_multiplicativity(monkeypatch, gid, p):
         T, D, conj = build(self, g)
         if g == target:
             lanes = self._lanes
-            T = (lanes.multiples(lanes.add(T[0][1], 1)),) + T[1:]
+            rows = [m[1] for m in T.packed]
+            rows[0] = lanes.add(rows[0], 1)
+            T = FpMatrix._of(lanes, rows)
         return T, D, conj
 
     monkeypatch.setattr(LinearAction, "_element_facts", corrupted)
