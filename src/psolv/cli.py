@@ -284,9 +284,6 @@ def _add_common(sub, group_source=True):
         src.add_argument("--recipe", help="catalog recipe, e.g. dihedral:4")
         src.add_argument("--file", help="path to a group JSON document")
     sub.add_argument("--p", type=int, required=True, help="the prime")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed of the linear-action sampling; only "
-                          "catalog run reads it")
     sub.add_argument("--format", choices=("text", "structured"),
                      default="text")
 
@@ -299,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("analyze", help="profile a group at a prime")
     _add_common(sub)
+    # read by nothing: perfbench passes --seed to each workload's command,
+    # analyze-s8's included
+    sub.add_argument("--seed", type=int, default=0,
+                     help="accepted and ignored: analyze samples nothing")
     sub.set_defaults(handler=_cmd_analyze)
 
     sub = commands.add_parser("ekr", help="compute the power-of-lower-"
@@ -370,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_catalog_list)
     sub = catalog_sub.add_parser("run", help="run the statement battery")
     _add_common(sub, group_source=False)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed of the linear-action sampling")
     sub.add_argument("--only", default=None,
                      help="only run groups whose id contains this text")
     sub.set_defaults(handler=_cmd_catalog_run)

@@ -138,7 +138,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.min_moved() is not None else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycle_string(self) -> str:
         """1-based cycle notation, '()' for the identity."""

@@ -1,9 +1,10 @@
 """Characteristic series, Sylow subgroups, cores and the upper p-series.
 
-The p-core is computed by two independent routes and cross-checked; a
-disagreement raises InternalMismatch and is always a bug here, never a
-mathematical finding. Functions marked @group_fact are computed once per
-group object and prime, so the cross-check runs once per pair too.
+Every p-core, over 1 or relative to a normal subgroup N, is computed by
+two independent routes and cross-checked; a disagreement raises
+InternalMismatch and is always a bug here, never a mathematical finding.
+Functions marked @group_fact are computed once per group object and
+argument values, so the cross-check runs once per group, prime and N.
 """
 
 from __future__ import annotations
@@ -131,26 +132,6 @@ def _exponent_modulo(H: PermutationGroup, N: PermutationGroup) -> int:
                       for cls in conjugacy_classes(H)))
 
 
-def _prime_power(n: int):
-    # returns (p, k) when n == p**k with k >= 1, else None; trial division
-    # up to the square root, so only for group orders, never for a given p
-    if n < 2:
-        return None
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
-
-
 # Miller-Rabin over these bases decides primality exactly below 2**64
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -188,11 +169,12 @@ def require_prime(p: int):
 
 
 def is_p_group(G: PermutationGroup, p: int) -> bool:
+    """Whether the order of G is a power of the prime p; the trivial group
+    is a p-group for every prime. Raises UnsupportedParameters unless p is
+    a prime."""
+    require_prime(p)
     n = G.order()
-    if n == 1:
-        return True
-    pk = _prime_power(n)
-    return pk is not None and pk[0] == p
+    return _p_part(n, p) == n
 
 
 def check_p_group(G: PermutationGroup, p: int):
@@ -220,30 +202,24 @@ def element_p_part(x: Permutation, p: int) -> Permutation:
 
 @group_fact
 def sylow(G: PermutationGroup, p: int) -> PermutationGroup:
-    """A Sylow p-subgroup, grown through normalizers.
+    """A Sylow p-subgroup, grown through normalizers from the trivial group.
 
-    A p-group is its own Sylow subgroup: G itself is returned, so the two
+    Each pass adjoins to S the first p-part, in N's row order, of an element
+    of N outside S, where N is G while S is trivial and N_G(S) after; the
+    trivial group is returned for a p'-group without any normalizer. A
+    p-group is its own Sylow subgroup: G itself is returned, so the two
     share one set of cached facts and one normal-subgroup lattice.
     """
-    require_prime(p)
     if is_p_group(G, p):
         return G
     # a p-subgroup S below full size always has a p-element of N_G(S)
     # outside S (any x with x^p in S is one), so each pass over the
     # normalizer extends S and the loop is deterministic with no restarts
     target = _p_part(G.order(), p)
-    if target == 1:
-        return trivial_group(G.degree)
-    # here and in the normalizer scans, rows are wrapped one at a time
-    seed = None
-    for row in G.element_rows():
-        y = element_p_part(_make(row), p)
-        if not y.is_identity():
-            seed = y
-            break
-    S = span(G.degree, [seed])
+    S = trivial_group(G.degree)
     while S.order() < target:
-        N = normalizer(G, S)
+        N = G if S.is_trivial() else normalizer(G, S)
+        # rows are wrapped one at a time, up to the first one adjoined
         for row in N.element_rows():
             y = element_p_part(_make(row), p)
             if not y.is_identity() and not S.contains(y):
@@ -305,8 +281,21 @@ def _sylow_conjugates_intersection(G, p, N):
     return K if K.order() == N.order() else normal_core(G, K)
 
 
-def _p_core_modulo(G, p, N):
-    # the K >= N with K/N = O_p(G/N), by both routes, cross-checked
+@group_fact
+def _core_modulo(G: PermutationGroup, p: int, kind: str,
+                 N: PermutationGroup) -> PermutationGroup:
+    """The K >= N with K/N the p'-core (kind "p'") or the p-core (kind "p")
+    of G/N, N normal in G, found inside G without building G/N.
+
+    The p'-core joins the class closures whose index over N is prime to
+    p. The p-core is computed by two routes and cross-checked: the normal
+    core of PN, P a Sylow p-subgroup, and the join of the class closures
+    whose index over N is a power of p; disagreement raises
+    InternalMismatch. Cached on G under p, kind and N's generators.
+    """
+    require_prime(p)
+    if kind == "p'":
+        return _core_by_class_closures(G, p, False, N)
     by_intersection = _sylow_conjugates_intersection(G, p, N)
     by_closures = _core_by_class_closures(G, p, True, N)
     if not same_subgroup(by_intersection, by_closures):
@@ -315,37 +304,18 @@ def _p_core_modulo(G, p, N):
     return by_closures
 
 
-@group_fact
 def o_p(G: PermutationGroup, p: int) -> PermutationGroup:
-    """Largest normal p-subgroup, computed two ways and cross-checked.
-
-    Route one starts at a Sylow p-subgroup and intersects it with its
-    conjugates by the generators of G until every generator normalizes it;
-    route two joins the normal closures of p-elements whose closure is a
-    p-group.
-    Disagreement raises InternalMismatch.
-    """
-    require_prime(p)
-    return _p_core_modulo(G, p, trivial_group(G.degree))
+    """Largest normal p-subgroup O_p(G): the relative p-core over N = 1,
+    so it is computed by both routes of _core_modulo, cross-checked, and
+    cached there."""
+    return _core_modulo(G, p, "p", trivial_group(G.degree))
 
 
-@group_fact
 def o_pprime(G: PermutationGroup, p: int) -> PermutationGroup:
-    """Largest normal p'-subgroup: join of closures of coprime-order elements
-    whose normal closure has order coprime to p."""
-    require_prime(p)
-    return _core_by_class_closures(G, p, False, trivial_group(G.degree))
-
-
-def _core_modulo(G: PermutationGroup, p: int, kind: str,
-                 N: PermutationGroup) -> PermutationGroup:
-    # the K >= N with K/N the p'-core (kind "p'") or the p-core (kind "p")
-    # of G/N, N normal in G; over N = 1 it is the cached O_p'(G) or O_p(G)
-    if N.is_trivial():
-        return (o_pprime if kind == "p'" else o_p)(G, p)
-    if kind == "p'":
-        return _core_by_class_closures(G, p, False, N)
-    return _p_core_modulo(G, p, N)
+    """Largest normal p'-subgroup O_p'(G): the relative p'-core over
+    N = 1, the join of the class closures of order prime to p, cached by
+    _core_modulo."""
+    return _core_modulo(G, p, "p'", trivial_group(G.degree))
 
 
 @group_fact

@@ -5,13 +5,22 @@ tuples of row tuples, and ignores the library's stabilizer chains and
 packed rows, so a bug in the fast path cannot hide in the oracle;
 search_table_by_rows, the one exception, rebuilds the PF search table from
 each subgroup's own element rows instead of the lattice's masks. Only
-suitable for small groups.
+suitable for small groups. g() is the tests' one way to write a group by
+its generators' cycles.
 """
 
 from math import gcd, lcm
 
-from psolv.perm import Permutation, identity
+from psolv.group import PermutationGroup
+from psolv.perm import Permutation, identity, parse_cycles
 from psolv.subgroups import _positions, commutator, iterated_commutator, power_subgroup
+
+
+def g(degree, *cycle_texts):
+    """The group on degree points generated by the given 1-based cycle
+    texts: a new object on each call, with group facts of its own."""
+    return PermutationGroup(degree,
+                            [parse_cycles(t, degree) for t in cycle_texts])
 
 
 def generated(degree, elems):

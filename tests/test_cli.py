@@ -556,6 +556,22 @@ def test_seed_flag_overrides_env(monkeypatch):
     assert args.seed == 9
 
 
+def test_seed_is_refused_where_nothing_reads_it(capsys):
+    # only catalog run samples; analyze accepts --seed unread, since
+    # perfbench passes it to the analyze-s8 command
+    for argv in (("ekr", "--recipe", "cyclic:2", "--p", "2", "--k", "1", "--r", "1"),
+                 ("verify", "main", "--recipe", "cyclic:2", "--p", "2"),
+                 ("scan", "question7", "--recipe", "cyclic:2", "--p", "2")):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1
+        assert "unrecognized arguments: --seed 1" in err
+    code, out, err = run(capsys, "analyze", "--recipe", "cyclic:2", "--p", "2",
+                         "--seed", "1")
+    assert code == 0
+
+
 def test_a_huge_prime_is_decided_at_once():
     # a prime near 10**17, whose square root is far too large for trial
     # division; Miller-Rabin answers at once

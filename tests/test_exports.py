@@ -30,8 +30,8 @@ def _modules():
             yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_every_export_has_a_caller_in_psolv():
-    # a name read, called or looked up as an attribute in some module
+def _names_read():
+    # every name read, called or looked up as an attribute in some module
     # other than __init__; a definition, an import or a docstring is no use
     used = set()
     for _, tree in _modules():
@@ -40,8 +40,31 @@ def test_every_export_has_a_caller_in_psolv():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = {name for name in psolv.__all__ if name not in used}
-    assert unused == GATE_ONLY
+    return used
+
+
+def test_every_export_has_a_caller_in_psolv():
+    assert set(psolv.__all__) - _names_read() == GATE_ONLY
+
+
+def test_every_private_definition_is_read():
+    # a module-level private function, class or constant that no psolv
+    # module reads is left over from a deletion
+    defined = []
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            defined += [(name, t) for t in targets
+                        if t.startswith("_") and not t.startswith("__")]
+    used = _names_read()
+    assert [f"{name}: {t}" for name, t in defined if t not in used] == []
 
 
 def test_every_import_is_read():

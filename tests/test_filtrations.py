@@ -26,12 +26,7 @@ from psolv.subgroups import (commutator, conjugacy_classes, is_normal, is_subgro
                              iterated_commutator, join, normal_closure,
                              normal_subgroups, power_subgroup, same_subgroup)
 
-from oracles import elements_of, pf_embedded_sets
-
-
-def g(degree, *cycle_texts):
-    return PermutationGroup(degree,
-                            [parse_cycles(t, degree) for t in cycle_texts])
+from oracles import elements_of, g, pf_embedded_sets
 
 
 D8 = g(4, "(1 2 3 4)", "(1 3)")

@@ -8,12 +8,7 @@ from psolv.group import (MAX_DEGREE, PermutationGroup, StabilizerChain, group_fa
                          span, trivial_group)
 from psolv.perm import identity, parse_cycles
 
-from oracles import elements_of
-
-
-def g(degree, *cycle_texts):
-    return PermutationGroup(degree,
-                            [parse_cycles(t, degree) for t in cycle_texts])
+from oracles import elements_of, g
 
 
 @pytest.mark.parametrize("G, expected", [

@@ -9,7 +9,7 @@ from psolv.errors import (
     PreconditionViolated,
     UnsupportedParameters,
 )
-from psolv.group import PermutationGroup, trivial_group
+from psolv.group import trivial_group
 from psolv.linear import (
     FpMatrix,
     LinearAction,
@@ -17,12 +17,7 @@ from psolv.linear import (
 )
 from psolv.perm import Permutation, parse_cycles
 
-from oracles import action_matrix_rows
-
-
-def g(degree, *cycle_texts):
-    return PermutationGroup(degree,
-                            [parse_cycles(t, degree) for t in cycle_texts])
+from oracles import action_matrix_rows, g
 
 
 S4 = g(4, "(1 2)", "(1 2 3 4)")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -11,10 +12,10 @@ from psolv.errors import (
     UnsupportedParameters,
 )
 from psolv.group import PermutationGroup, trivial_group
-from psolv.perm import Permutation, parse_cycles
+from psolv.perm import Permutation
 from psolv.series import (
     _core_by_class_closures,
-    _prime_power,
+    _core_modulo,
     _sylow_conjugates_intersection,
     exponent,
     gamma,
@@ -36,15 +37,11 @@ from psolv.theorems import analyze_group
 from oracles import (
     elements_of,
     exponent_of,
+    g,
     generated,
     sylow_core_set,
     upper_p_series_sets,
 )
-
-
-def g(degree, *cycle_texts):
-    return PermutationGroup(degree,
-                            [parse_cycles(t, degree) for t in cycle_texts])
 
 
 S4 = g(4, "(1 2)", "(1 2 3 4)")
@@ -348,12 +345,23 @@ def test_conjugate_products_leave_every_core_unchanged(monkeypatch, name, p):
 
 
 def test_core_modulo_over_one_is_the_cached_core():
-    from psolv.series import _core_modulo
     G = g(4, "(1 2)", "(1 2 3 4)")
     one = trivial_group(G.degree)
     for p in (2, 3):
         assert _core_modulo(G, p, "p", one) is o_p(G, p)
         assert _core_modulo(G, p, "p'", one) is o_pprime(G, p)
+
+
+def test_a_relative_core_is_cached_under_the_generators_of_n():
+    # S4 over V4 at p = 2: S4/V4 is S3, whose 2'-core is A3 and whose
+    # 2-core is 1; a new object on V4's generators finds the same values
+    G = g(4, "(1 2)", "(1 2 3 4)")
+    N = g(4, "(1 2)(3 4)", "(1 3)(2 4)")
+    again = PermutationGroup(N.degree, N.generators)
+    for kind, order in (("p'", 12), ("p", 4)):
+        K = _core_modulo(G, 2, kind, N)
+        assert K.order() == order
+        assert _core_modulo(G, 2, kind, again) is K
 
 
 def test_upper_series_rejects_a_term_missing_the_one_below(monkeypatch):
@@ -391,9 +399,18 @@ def test_is_p_group():
     assert not is_p_group(S3, 3)
 
 
+@pytest.mark.parametrize("p", [1, 4])
+def test_is_p_group_needs_a_prime(p):
+    # the trivial group too: it is a p-group for every prime, none other
+    for G in (trivial_group(4), D8):
+        with pytest.raises(UnsupportedParameters):
+            is_p_group(G, p)
+
+
 def test_miller_rabin_agrees_with_trial_division():
     assert ([n for n in range(5000) if is_prime(n)]
-            == [n for n in range(5000) if _prime_power(n) == (n, 1)])
+            == [n for n in range(2, 5000)
+                if all(n % d for d in range(2, math.isqrt(n) + 1))])
     # strong pseudoprimes to the bases up to 7 and up to 23
     assert not is_prime(3215031751)
     assert not is_prime(3825123056546413051)
@@ -506,6 +523,24 @@ def test_s8_sylow_generators_are_pinned():
         (3, 5, 7, 6, 0, 1, 4, 2),
         (5, 3, 4, 1, 2, 0, 7, 6),
     ]
+
+
+def test_sylow_of_a_pprime_group_is_trivial_without_a_normalizer(monkeypatch):
+    import psolv.series
+    calls = []
+    real = psolv.series.normalizer
+
+    def counted(G, S):
+        calls.append(S.order())
+        return real(G, S)
+
+    monkeypatch.setattr(psolv.series, "normalizer", counted)
+    for G, p in ((g(9, "(1 2 3 4 5 6 7 8 9)"), 2), (g(3, "(1 2)", "(1 2 3)"), 5)):
+        assert sylow(G, p).is_trivial()
+    assert calls == []
+    # a growing S asks for its normalizer from the second pass on
+    assert sylow(g(4, "(1 2)", "(1 2 3 4)"), 2).order() == 8
+    assert calls and 1 not in calls
 
 
 def test_sylow_of_a_p_group_is_the_group():

@@ -31,17 +31,13 @@ from oracles import (
     commutator_set,
     conjugacy_class_of,
     elements_of,
+    g,
     normal_subgroup_sets,
     normalizer_set,
     power_set,
     sylow_core_set,
 )
 from psolv.group import span
-
-
-def g(degree, *cycle_texts):
-    return PermutationGroup(degree,
-                            [parse_cycles(t, degree) for t in cycle_texts])
 
 
 S4 = g(4, "(1 2)", "(1 2 3 4)")

@@ -33,10 +33,7 @@ from psolv.theorems import (
     verify_thm6,
 )
 
-
-def g(degree, *cycle_texts):
-    return PermutationGroup(degree,
-                            [parse_cycles(t, degree) for t in cycle_texts])
+from oracles import g
 
 
 S4 = g(4, "(1 2)", "(1 2 3 4)")
